@@ -45,7 +45,7 @@ class GmResult:
     links: pd.DataFrame  # after matching + stop threshold (u, v, score)
     matched: pd.DataFrame
     scores: pd.DataFrame  # dense (u, v, score)
-    threshold: gmm.StopThreshold | None
+    threshold: gmm.StopThreshold
     n_comparisons: int
     runtime_sec: float
 
@@ -103,13 +103,10 @@ def run_gm(records_e: DataFrame, records_i: DataFrame, cfg: GmConfig) -> GmResul
 
     edges = scores[["u", "v", "score"]]
     full = matching.greedy_match(edges)
-    threshold: gmm.StopThreshold | None = None
-    links = full
-    if len(full) >= 4:
-        # log-likelihoods are ≤ 0; the GMM threshold machinery is
-        # scale-free so it applies directly
-        threshold = gmm.select_stop_threshold(full["score"].to_numpy())
-        links = full[full["score"] > threshold.threshold].reset_index(drop=True)
+    # log-likelihoods are ≤ 0; the GMM threshold machinery is scale-free
+    # so it applies directly
+    threshold = gmm.select_stop_threshold(full["score"].to_numpy())
+    links = full[full["score"] > threshold.threshold].reset_index(drop=True)
     return GmResult(
         links=links,
         matched=full,

@@ -78,7 +78,7 @@ def _elbow_threshold(values: np.ndarray, fallback: int) -> int:
     if values.size < 3 or values.max() == values.min():
         return fallback
     x = np.arange(values.size, dtype=float)
-    elbow_x = tuning.kneedle(x, values, direction="decreasing", curve="convex")
+    elbow_x = tuning.kneedle(x, values, direction="decreasing")
     return int(max(fallback, values[int(elbow_x)]))
 
 

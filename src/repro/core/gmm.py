@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# fewer matched-edge weights than this fit no mixture: every link is kept
+MIN_FIT_WEIGHTS = 4
+
 
 @dataclass(frozen=True)
 class Gmm1D:
@@ -153,7 +156,7 @@ def select_stop_threshold(weights: np.ndarray, *, n_grid: int = 512) -> StopThre
     enough false matches for the bimodal assumption to hold.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.size < 4 or np.ptp(weights) == 0:
+    if weights.size < MIN_FIT_WEIGHTS or np.ptp(weights) == 0:
         # degenerate: nothing to separate; accept everything
         g = Gmm1D(
             weights=np.array([0.5, 0.5]),

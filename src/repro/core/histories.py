@@ -62,15 +62,14 @@ def norm_factors(bins: DataFrame, *, b: float) -> DataFrame:
     )
 
 
-def idf(bins: DataFrame, *, n_entities: int | None = None) -> DataFrame:
+def idf(bins: DataFrame) -> DataFrame:
     """Per-bin inverse document frequency (Eq. 3).
 
     ``idf(e) = log(|U| / |{u : e ∈ H_u}|)`` where the document
     frequency counts entities of the *same* dataset occupying the bin.
     Returns ``(window, cell, idf)``.
     """
-    if n_entities is None:
-        n_entities = bins.select("entity").distinct().count()
+    n_entities = bins.select("entity").distinct().count()
     df = bins.groupBy("window", "cell").agg(
         F.countDistinct("entity").alias("df")
     )

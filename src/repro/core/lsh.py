@@ -173,57 +173,3 @@ def lsh_candidates(
     )
     return cand, p
 
-
-# --------------------------------------------------------------------------
-# Alternative pruner: pyspark.ml MinHashLSH over bin sets (repro hint)
-# --------------------------------------------------------------------------
-
-def minhash_candidates(
-    bins_e: DataFrame,
-    bins_i: DataFrame,
-    *,
-    jaccard_distance: float = 0.8,
-    num_hash_tables: int = 8,
-    dim: int = 1 << 18,
-    seed: int = 42,
-) -> DataFrame:
-    """Candidate pairs via the stock ``MinHashLSH`` transformer.
-
-    Entities become binary sparse vectors over hashed (window, cell)
-    bins; ``approxSimilarityJoin`` under Jaccard distance prunes pairs.
-    Provided as a cross-check for the paper's own dominating-cell LSH
-    (which remains the primary path, matching the paper).
-    """
-    from pyspark.ml.feature import MinHashLSH
-    from pyspark.ml.linalg import SparseVector, VectorUDT
-
-    @F.udf(returnType=VectorUDT())
-    def to_vec(idxs):
-        return SparseVector(dim, sorted(set(idxs)), [1.0] * len(set(idxs)))
-
-    ve = (
-        bins_e.select(
-            F.col("entity").alias("u"),
-            F.pmod(F.xxhash64("window", "cell"), F.lit(dim)).alias("idx"),
-        )
-        .groupBy("u")
-        .agg(F.collect_set("idx").alias("idxs"))
-        .select("u", to_vec("idxs").alias("features"))
-    )
-    vi = (
-        bins_i.select(
-            F.col("entity").alias("v"),
-            F.pmod(F.xxhash64("window", "cell"), F.lit(dim)).alias("idx"),
-        )
-        .groupBy("v")
-        .agg(F.collect_set("idx").alias("idxs"))
-        .select("v", to_vec("idxs").alias("features"))
-    )
-    mh = MinHashLSH(
-        inputCol="features", outputCol="hashes", numHashTables=num_hash_tables, seed=seed
-    )
-    model = mh.fit(ve.select(F.col("features")).unionAll(vi.select("features")))
-    joined = model.approxSimilarityJoin(ve, vi, jaccard_distance, distCol="jd")
-    return joined.select(
-        F.col("datasetA.u").alias("u"), F.col("datasetB.v").alias("v")
-    ).distinct()

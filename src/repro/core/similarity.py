@@ -68,6 +68,9 @@ def greedy_select_mask(
     repeatedly pick the nearest (furthest) pair among bins not yet
     used, until the smaller side is exhausted. Windows are independent,
     so one pick per window per round reproduces the sequential greedy.
+    Distance ties go to the smallest ``(eid, iid)``: with ``eid``/``iid``
+    the dense (window, cell) ranks of :func:`_bin_ids`, the selection
+    depends only on the bins, never on the order of the rows.
     """
     n = d.size
     sel = np.zeros(n, dtype=bool)
@@ -76,15 +79,14 @@ def greedy_select_mask(
     key = -d if furthest else d
     taken_e = np.zeros(int(eid.max()) + 1, dtype=bool)
     taken_i = np.zeros(int(iid.max()) + 1, dtype=bool)
-    rowidx = np.arange(n)
     while True:
         active = ~(taken_e[eid] | taken_i[iid])
         if not active.any():
             break
         k = np.where(active, key, np.inf)
-        # per-window argmin: sort by (window, key, row) and take each
-        # window's first finite row
-        perm = np.lexsort((rowidx, k, win))
+        # per-window argmin: sort by (window, key, eid, iid) and take
+        # each window's first finite row
+        perm = np.lexsort((iid, eid, k, win))
         w_sorted = win[perm]
         first = np.ones(n, dtype=bool)
         first[1:] = w_sorted[1:] != w_sorted[:-1]

@@ -19,7 +19,7 @@ metric of Secs 5.3/5.5), alibi entity pairs, and wall-clock runtime.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -47,9 +47,6 @@ class SlimConfig:
     def window_sec(self) -> int:
         return int(round(self.window_min * 60))
 
-    def without_lsh(self) -> "SlimConfig":
-        return replace(self, use_lsh=False)
-
 
 @dataclass
 class SlimResult:
@@ -58,7 +55,7 @@ class SlimResult:
     links: pd.DataFrame  # final linkage (u, v, score)
     matched: pd.DataFrame  # full matching before thresholding
     scores: pd.DataFrame  # all scored candidate pairs
-    threshold: gmm.StopThreshold | None
+    threshold: gmm.StopThreshold
     n_candidates: int
     n_comparisons: int
     n_alibi_pairs: int
@@ -104,11 +101,8 @@ def run_slim(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> Sli
     edges = scored[scored["score"] > 0][["u", "v", "score"]]
     matched = matching.greedy_match(edges)
 
-    threshold: gmm.StopThreshold | None = None
-    links = matched
-    if len(matched) >= 4:
-        threshold = gmm.select_stop_threshold(matched["score"].to_numpy())
-        links = matched[matched["score"] > threshold.threshold].reset_index(drop=True)
+    threshold = gmm.select_stop_threshold(matched["score"].to_numpy())
+    links = matched[matched["score"] > threshold.threshold].reset_index(drop=True)
     runtime = time.monotonic() - t0
     return SlimResult(
         links=links,

@@ -25,7 +25,6 @@ def kneedle(
     y: np.ndarray,
     *,
     direction: str = "decreasing",
-    curve: str = "convex",
 ) -> float:
     """Elbow/knee x-coordinate of a curve (Satopää et al. 2011, simplified).
 
@@ -48,14 +47,7 @@ def kneedle(
         yn = 1.0 - yn
     elif direction != "increasing":
         raise ValueError("direction must be 'increasing' or 'decreasing'")
-    if curve == "convex":
-        # convex-decreasing (or mirrored) → flip across the chord
-        diff = yn - xn
-    elif curve == "concave":
-        diff = yn - xn
-    else:
-        raise ValueError("curve must be 'convex' or 'concave'")
-    return float(x[int(np.argmax(diff))])
+    return float(x[int(np.argmax(yn - xn))])
 
 
 def self_similarity_ratio(
@@ -142,7 +134,6 @@ def select_spatial_level(
                     np.array(levels, dtype=float),
                     np.array([curve[lv] for lv in levels]),
                     direction="decreasing",
-                    curve="convex",
                 )
             )
         )

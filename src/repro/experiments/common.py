@@ -1,9 +1,10 @@
 """Shared plumbing for the evaluation harnesses (DESIGN.md §4).
 
 Each harness is a pure function ``(spark, scale, ...) -> pandas
-DataFrame`` whose rows are one printed table line; ``jobs/`` wraps them
-for spark-submit and ``benchmarks/`` times them. ``scale`` is "test"
-(seconds, used by pytest) or "bench" (the EXPERIMENTS.md numbers).
+DataFrame`` whose rows are one printed table line;
+``python -m repro.experiments <table>`` runs one and ``benchmarks/``
+times them. ``scale`` is "test" (seconds, used by pytest) or "bench"
+(the EXPERIMENTS.md numbers).
 """
 from __future__ import annotations
 
@@ -43,6 +44,16 @@ def spark_pair(
     return rec_e.cache(), rec_i.cache()
 
 
+def prf_cols(links: pd.DataFrame, pair: generator.LinkagePair) -> dict:
+    """Rounded precision, recall and F1 of ``links`` against the truth."""
+    prf = metrics.evaluate_links(links, pair.truth)
+    return {
+        "precision": round(prf.precision, 4),
+        "recall": round(prf.recall, 4),
+        "f1": round(prf.f1, 4),
+    }
+
+
 def slim_row(
     res: SlimResult, pair: generator.LinkagePair, **tags
 ) -> dict:
@@ -50,9 +61,7 @@ def slim_row(
     prf = metrics.evaluate_links(res.links, pair.truth)
     return {
         **tags,
-        "precision": round(prf.precision, 4),
-        "recall": round(prf.recall, 4),
-        "f1": round(prf.f1, 4),
+        **prf_cols(res.links, pair),
         "n_linked": prf.n_linked,
         "n_true": prf.n_true,
         "alibi_pairs": res.n_alibi_pairs,
@@ -73,7 +82,7 @@ def run_slim_row(
 
 
 def print_table(df: pd.DataFrame, title: str) -> pd.DataFrame:
-    """Print a harness result the way the jobs do; returns ``df``."""
+    """Print a harness result the way the entry point does; returns ``df``."""
     print(f"\n=== {title} ===")
     print(df.to_string(index=False))
     return df

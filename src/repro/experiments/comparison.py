@@ -60,7 +60,7 @@ def _run_all(
             "hit_prec_40": round(
                 metrics.hit_precision_at_k(hp_scores, pair.truth, 40), 4
             ),
-            **_prf(bf.links, pair),
+            **common.prf_cols(bf.links, pair),
             "comparisons": bf.n_comparisons,
             "runtime_sec": round(bf.runtime_sec, 2),
         }
@@ -78,7 +78,7 @@ def _run_all(
             "hit_prec_40": round(
                 metrics.hit_precision_at_k(lsh.scores, pair.truth, 40), 4
             ),
-            **_prf(lsh.links, pair),
+            **common.prf_cols(lsh.links, pair),
             "comparisons": lsh.n_comparisons,
             "runtime_sec": round(lsh.runtime_sec, 2),
         }
@@ -95,7 +95,7 @@ def _run_all(
                 ),
                 4,
             ),
-            **_prf(st.links, pair),
+            **common.prf_cols(st.links, pair),
             "comparisons": st.n_comparisons,
             "runtime_sec": round(st.runtime_sec, 2),
         }
@@ -110,7 +110,7 @@ def _run_all(
                 "hit_prec_40": round(
                     metrics.hit_precision_at_k(gm.scores, pair.truth, 40), 4
                 ),
-                **_prf(gm.links, pair),
+                **common.prf_cols(gm.links, pair),
                 "comparisons": gm.n_comparisons,
                 "runtime_sec": round(gm.runtime_sec, 2),
             }
@@ -118,15 +118,6 @@ def _run_all(
     rec_e.unpersist()
     rec_i.unpersist()
     return rows
-
-
-def _prf(links, pair) -> dict:
-    prf = metrics.evaluate_links(links, pair.truth)
-    return {
-        "precision": round(prf.precision, 4),
-        "recall": round(prf.recall, 4),
-        "f1": round(prf.f1, 4),
-    }
 
 
 def run(

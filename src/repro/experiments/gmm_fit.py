@@ -13,7 +13,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core import metrics
+from repro.core import gmm
 from repro.core.slim import SlimConfig, run_slim
 from repro.experiments import common
 
@@ -36,18 +36,14 @@ def run(
     rows = []
     for level in levels:
         res = run_slim(rec_e, rec_i, SlimConfig(level=level, window_min=window_min, use_lsh=False))
-        prf = metrics.evaluate_links(res.links, pair.truth)
         row = {
             "dataset": dataset,
             "level": level,
             "window_min": window_min,
-            "precision": round(prf.precision, 4),
-            "recall": round(prf.recall, 4),
-            "f1": round(prf.f1, 4),
+            **common.prf_cols(res.links, pair),
         }
-        if res.threshold is not None:
+        if len(res.matched) >= gmm.MIN_FIT_WEIGHTS:  # else no mixture is fitted
             g = res.threshold.gmm
-            sep = (g.mu[1] - g.mu[0]) / (g.sigma[0] + g.sigma[1])
             matched = res.matched
             is_tp = [
                 (u, v) in truth_pairs for u, v in zip(matched["u"], matched["v"])
@@ -60,7 +56,7 @@ def run(
                 mu_tp=round(float(g.mu[1]), 3),
                 sigma_fp=round(float(g.sigma[0]), 3),
                 sigma_tp=round(float(g.sigma[1]), 3),
-                separation=round(float(sep), 3),
+                separation=round(res.threshold.separation, 3),
                 mean_tp_score=round(float(tp_scores.mean()), 3) if len(tp_scores) else float("nan"),
                 mean_fp_score=round(float(fp_scores.mean()), 3) if len(fp_scores) else float("nan"),
             )

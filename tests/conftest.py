@@ -31,6 +31,18 @@ def cab_bins(cab_records):
 
 
 @pytest.fixture(scope="session")
+def small_cab_pair():
+    """Cab-like instance with two entities a side: fewer than 4 matches."""
+    return generator.cab_pair(scale="test", seed=0, n_entities=3)
+
+
+@pytest.fixture(scope="session")
+def small_cab_records(spark, small_cab_pair):
+    rec_e, rec_i = small_cab_pair.to_spark(spark)
+    return rec_e.cache(), rec_i.cache()
+
+
+@pytest.fixture(scope="session")
 def sm_pair():
     """Tiny SM-like linkage instance (300 users, 26 days)."""
     return generator.sm_pair(scale="test", seed=0)

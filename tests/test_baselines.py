@@ -98,6 +98,14 @@ class TestGm:
         hp = metrics.hit_precision_at_k(result.scores, cab_pair.truth, 40)
         assert hp >= 0.8
 
+    def test_no_threshold_below_four_matches(self, small_cab_records):
+        # below gmm.MIN_FIT_WEIGHTS matched pairs no mixture is fitted
+        rec_e, rec_i = small_cab_records
+        res = gm_mod.run_gm(rec_e, rec_i, gm_mod.GmConfig())
+        assert 1 <= len(res.matched) < 4
+        assert res.threshold.threshold == -np.inf
+        pd.testing.assert_frame_equal(res.links, res.matched)
+
     def test_slot_validation(self):
         assert gm_mod.expected_slot_count(8) == 10_800
         with pytest.raises(ValueError):

@@ -4,11 +4,16 @@ Each harness runs at "test" scale; the bench-scale numbers live in
 EXPERIMENTS.md. These tests assert schema, ranges and the paper's
 qualitative orderings where they are stable at tiny scale.
 """
+import os
+import subprocess
+import sys
+
 import pandas as pd
 import pytest
 
 from repro.experiments import (
     ablation,
+    cli,
     comparison,
     gmm_fit,
     lsh_buckets,
@@ -16,6 +21,7 @@ from repro.experiments import (
     spatiotemporal,
     workload,
 )
+from repro.experiments.__main__ import TABLES
 
 
 class TestE1Spatiotemporal:
@@ -163,6 +169,28 @@ class TestE8Comparison:
     def test_stlink_more_comparisons_than_slim_lsh(self, table):
         dens = table[table["part"] == "density"].set_index("algo")
         assert dens.loc["stlink", "comparisons"] > dens.loc["slim_lsh", "comparisons"]
+
+
+class TestEntryPoint:
+    """``python -m repro.experiments <table>`` covers every harness."""
+
+    def test_registry_resolves_to_harnesses(self):
+        mods = [spatiotemporal, gmm_fit, workload, lsh_level, lsh_buckets, ablation, comparison]
+        assert [cli.harness(t) for t in TABLES] == [m.run for m in mods]
+
+    def test_help_lists_every_table(self):
+        # --help exits in argument parsing, before any Spark session
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        for table in TABLES:
+            assert table in out.stdout
 
 
 class TestPrintTable:

@@ -125,7 +125,7 @@ class TestIdf:
         pdf2["window"] = pdf2["ts"] // 900
         pdf2["cell"] = cells.encode(pdf2["lat"].to_numpy(), pdf2["lon"].to_numpy(), 12)
         oracle.assert_equivalent(
-            histories.idf(bins, n_entities=n_u),
+            histories.idf(bins),
             f'SELECT "window", cell, ln({n_u} / count(DISTINCT entity)) AS idf '
             'FROM rec GROUP BY "window", cell',
             rec=pdf2[["entity", "window", "cell"]],

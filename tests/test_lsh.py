@@ -203,22 +203,3 @@ class TestCandidates:
             counts[t] = cand.count()
         assert counts[0.3] >= counts[0.9]
 
-
-class TestMinHashAlternative:
-    def test_minhash_candidates_sane(self, spark, cab_records, cab_pair):
-        from repro.core import histories
-
-        rec_e, rec_i = cab_records
-        be = histories.build_bins(rec_e, level=12, window_sec=900)
-        bi = histories.build_bins(rec_i, level=12, window_sec=900)
-        cand = lsh.minhash_candidates(
-            be, bi, jaccard_distance=0.95, num_hash_tables=6
-        ).toPandas()
-        ue = {r[0] for r in be.select("entity").distinct().collect()}
-        ui = {r[0] for r in bi.select("entity").distinct().collect()}
-        assert set(cand["u"]).issubset(ue)
-        assert set(cand["v"]).issubset(ui)
-        truth = set(map(tuple, cab_pair.truth[["u", "v"]].to_numpy()))
-        got = set(map(tuple, cand[["u", "v"]].to_numpy()))
-        assert len(got & truth) / len(truth) >= 0.5
-        assert len(cand) < len(ue) * len(ui)

@@ -2,6 +2,8 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import histories, similarity
 from repro.core.proximity import proximity as prox
@@ -22,6 +24,11 @@ CELL_B = _cell(0.0, 0.05)  # ~5.5 km east: close (within runaway)
 CELL_FAR = _cell(0.0, 0.8)  # ~89 km east: alibi (beyond 2R)
 D_AB = cells.min_distance_m(np.array([CELL_A]), np.array([CELL_B]), LEVEL)[0]
 D_AF = cells.min_distance_m(np.array([CELL_A]), np.array([CELL_FAR]), LEVEL)[0]
+# a row of adjacent cells plus an alibi cell: grid distances tie at 0
+# (same or touching cells) and at whole multiples of the cell size
+TIED_CELLS = [
+    _cell(0.001, 0.001 + k * cells.cell_size_deg(LEVEL)) for k in range(4)
+] + [CELL_FAR]
 
 
 def _bins(spark, rows):
@@ -131,6 +138,63 @@ class TestGreedySelect:
 
     def test_empty(self):
         assert self._mask([], [], [], []).size == 0
+
+    def test_ties_break_on_bins_not_rows(self):
+        # all four distances tie: the pick is the smallest (eid, iid),
+        # wherever that row sits
+        win = [0, 0, 0, 0]
+        eid = [1, 0, 1, 0]
+        iid = [0, 0, 1, 1]
+        d = [0.0] * 4
+        assert list(self._mask(win, eid, iid, d)) == [False, True, True, False]
+        assert list(self._mask(win, eid, iid, d, furthest=True)) == [
+            False,
+            True,
+            True,
+            False,
+        ]
+
+
+@st.composite
+def tied_group(draw):
+    """One (u, v) kernel group over heavily tied grid distances.
+
+    Returns the within-window cross product of both entities' bins
+    (the rows ``pair_scores`` feeds the kernel) and a row permutation.
+    idf is a property of a bin, so each bin draws it once.
+    """
+    rows = []
+    for w in range(draw(st.integers(1, 3))):
+        side = st.lists(st.sampled_from(TIED_CELLS), min_size=1, max_size=4, unique=True)
+        idf = st.sampled_from([0.5, 1.0, 2.0])
+        idf_e = {c: draw(idf) for c in draw(side)}
+        idf_i = {c: draw(idf) for c in draw(side)}
+        rows += [(w, ce, ci, idf_e[ce], idf_i[ci]) for ce in idf_e for ci in idf_i]
+    pdf = pd.DataFrame(rows, columns=["window", "cell_e", "cell_i", "idf_e", "idf_i"])
+    return pdf, draw(st.permutations(range(len(pdf))))
+
+
+class TestKernelRowOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_group())
+    def test_scores_invariant_under_row_permutation(self, group):
+        pdf, perm = group
+        shuffled = pdf.iloc[perm].reset_index(drop=True)
+        for use_mfn in (False, True):
+            kernel = similarity._make_kernel(
+                level=LEVEL,
+                runaway_m=RUNAWAY,
+                pairing="mnn",
+                use_mfn=use_mfn,
+                use_idf=True,
+            )
+            a = kernel((0, 10), pdf).iloc[0]
+            b = kernel((0, 10), shuffled).iloc[0]
+            assert b["n_pairs"] == a["n_pairs"]
+            assert b["n_alibi"] == a["n_alibi"]
+            # the same pairs are summed; only the summation order may
+            # move the last bits
+            assert b["raw"] == pytest.approx(a["raw"], rel=1e-12, abs=1e-12)
 
 
 class TestPairScores:

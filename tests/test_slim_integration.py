@@ -1,5 +1,6 @@
 """End-to-end integration tests of the SLIM pipeline."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import metrics
@@ -105,8 +106,21 @@ class TestSmDataset:
     def test_config_knobs(self):
         cfg = SlimConfig(window_min=15)
         assert cfg.window_sec == 900
-        assert cfg.without_lsh().use_lsh is False
-        assert cfg.use_lsh is True  # frozen original unchanged
+        assert cfg.use_lsh is True
+
+
+class TestFewMatches:
+    def test_no_threshold_below_four_matches(self, small_cab_records):
+        # below gmm.MIN_FIT_WEIGHTS matched pairs no mixture is fitted
+        rec_e, rec_i = small_cab_records
+        res = run_slim(
+            rec_e,
+            rec_i,
+            SlimConfig(use_lsh=True, lsh=LshConfig(level=10, step=1, threshold=0.3)),
+        )
+        assert 1 <= len(res.matched) < 4
+        assert res.threshold.threshold == -np.inf
+        pd.testing.assert_frame_equal(res.links, res.matched)
 
 
 class TestAblationDirections:

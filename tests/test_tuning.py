@@ -10,18 +10,18 @@ class TestKneedle:
         # 1/x-style curve: steep drop then flat — elbow near the bend
         x = np.arange(1, 11, dtype=float)
         y = 1.0 / x
-        elbow = tuning.kneedle(x, y, direction="decreasing", curve="convex")
+        elbow = tuning.kneedle(x, y, direction="decreasing")
         assert 2 <= elbow <= 4
 
     def test_planted_elbow_concave_increasing(self):
         x = np.arange(1, 11, dtype=float)
         y = np.log(x)
-        elbow = tuning.kneedle(x, y, direction="increasing", curve="concave")
+        elbow = tuning.kneedle(x, y, direction="increasing")
         assert 2 <= elbow <= 4
 
     def test_linear_curve_no_crash(self):
         x = np.arange(10, dtype=float)
-        elbow = tuning.kneedle(x, x.copy(), direction="increasing", curve="concave")
+        elbow = tuning.kneedle(x, x.copy(), direction="increasing")
         assert 0 <= elbow <= 9
 
     def test_flat_curve_returns_first(self):
@@ -31,7 +31,7 @@ class TestKneedle:
     def test_unsorted_input_handled(self):
         x = np.array([5.0, 1.0, 3.0, 2.0, 4.0, 6.0, 7.0, 8.0])
         y = 1.0 / x
-        elbow = tuning.kneedle(x, y, direction="decreasing", curve="convex")
+        elbow = tuning.kneedle(x, y, direction="decreasing")
         assert 1 <= elbow <= 4
 
     def test_too_few_points(self):
