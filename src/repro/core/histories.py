@@ -8,13 +8,13 @@ per-subtree cell counts; in a DataFrame engine the leaf level is the
 level is the same relation re-aggregated at a coarser window — see
 :mod:`repro.core.lsh` for the dominating-cell queries that use it.
 
-All functions return DataFrames so Catalyst plans the whole pipeline;
-nothing here collects.
+All functions but the two comparison counts return DataFrames so
+Catalyst plans the whole pipeline; nothing else here runs a Spark
+action.
 """
 from __future__ import annotations
 
-import numpy as np
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.grid import cells
@@ -46,19 +46,41 @@ def history_sizes(bins: DataFrame) -> DataFrame:
     return bins.groupBy("entity").agg(F.count(F.lit(1)).alias("n_bins"))
 
 
+def _with_totals(bins: DataFrame) -> DataFrame:
+    """``bins`` with the side's totals ``n_entities`` (|U|) and ``n_bins_all``.
+
+    The totals are one one-row aggregate, attached to every bin row by a
+    crossJoin. A relation that already carries them (the output of
+    :func:`idf` or :func:`norm_factors`) is returned as it is, so
+    ``norm_factors(idf(bins))`` aggregates each side once.
+    """
+    if "n_entities" in bins.columns:
+        return bins
+    totals = bins.agg(
+        F.countDistinct("entity").alias("n_entities"),
+        F.count(F.lit(1)).alias("n_bins_all"),
+    )
+    return bins.crossJoin(totals)
+
+
 def norm_factors(bins: DataFrame, *, b: float) -> DataFrame:
     """BM25-style length normalization ``L(u) = (1−b) + b·|H_u|/avg|H|``.
 
     Eq. 2's denominator component; ``b`` ∈ [0, 1] tunes how strongly
     long histories are discounted (paper default 0.5).
+
+    ``bins`` must hold one row per (entity, window, cell), as
+    :func:`build_bins` emits, so that |H_u| is the row count of entity
+    u. Returns the input rows with ``L`` added, plus the side totals
+    ``n_entities`` and ``n_bins_all`` (avg|H| = n_bins_all / n_entities).
+    Runs no Spark action.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must be in [0, 1]")
-    sizes = history_sizes(bins)
-    avg = sizes.agg(F.avg("n_bins").alias("avg_bins"))
-    return sizes.crossJoin(avg).select(
-        "entity",
-        (F.lit(1.0 - b) + F.lit(b) * F.col("n_bins") / F.col("avg_bins")).alias("L"),
+    n_bins = F.count(F.lit(1)).over(Window.partitionBy("entity"))
+    avg_bins = F.col("n_bins_all") / F.col("n_entities")
+    return _with_totals(bins).withColumn(
+        "L", F.lit(1.0 - b) + F.lit(b) * n_bins / avg_bins
     )
 
 
@@ -67,16 +89,16 @@ def idf(bins: DataFrame) -> DataFrame:
 
     ``idf(e) = log(|U| / |{u : e ∈ H_u}|)`` where the document
     frequency counts entities of the *same* dataset occupying the bin.
-    Returns ``(window, cell, idf)``.
+
+    ``bins`` must hold one row per (entity, window, cell), as
+    :func:`build_bins` emits, so that the document frequency is the row
+    count of the bin. Returns the input rows with ``idf`` added, plus
+    the side totals ``n_entities`` and ``n_bins_all``. Runs no Spark
+    action.
     """
-    n_entities = bins.select("entity").distinct().count()
-    df = bins.groupBy("window", "cell").agg(
-        F.countDistinct("entity").alias("df")
-    )
-    return df.select(
-        "window",
-        "cell",
-        F.log(F.lit(float(n_entities)) / F.col("df")).alias("idf"),
+    df = F.count(F.lit(1)).over(Window.partitionBy("window", "cell"))
+    return _with_totals(bins).withColumn(
+        "idf", F.log(F.col("n_entities").cast("double") / df)
     )
 
 

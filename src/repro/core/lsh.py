@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core import histories
+from repro.grid import cells
 
 
 def lambert_w(x: float, *, tol: float = 1e-12, max_iter: int = 100) -> float:
@@ -74,20 +74,23 @@ class LshConfig:
 def signatures(records: DataFrame, *, level: int, window_sec: int, step: int) -> DataFrame:
     """Dominating-cell signature entries ``(entity, qw, cell)``.
 
-    One row per (entity, query window) that has records; the dominating
-    cell is the argmax-record-count cell (ties broken on cell id so the
-    result is deterministic).
+    One row per (entity, query window) that has records; query window
+    ``qw`` spans ``step`` leaf windows. The dominating cell is the cell
+    holding the most of the entity's records in the query window; ties
+    go to the lowest cell id, so the result is deterministic. One
+    aggregate computes it: ``mode`` over the records' cells, whose
+    deterministic variant breaks ties on the smallest value.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
-    qbins = histories.build_bins(records, level=level, window_sec=window_sec * step)
-    w = Window.partitionBy("entity", "window").orderBy(
-        F.col("n_rec").desc(), F.col("cell").asc()
-    )
     return (
-        qbins.withColumn("rn", F.row_number().over(w))
-        .where(F.col("rn") == 1)
-        .select("entity", F.col("window").alias("qw"), "cell")
+        records.select(
+            "entity",
+            F.floor(F.col("ts") / F.lit(int(window_sec * step))).alias("qw"),
+            cells.encode_col(F.col("lat"), F.col("lon"), level).alias("cell"),
+        )
+        .groupBy("entity", "qw")
+        .agg(F.mode("cell", deterministic=True).alias("cell"))
     )
 
 
@@ -120,7 +123,11 @@ def band_buckets(
 
 @dataclass(frozen=True)
 class LshPlan:
-    """Derived banding parameters for one linkage instance."""
+    """Derived banding parameters for one linkage instance.
+
+    With no records on either side the signature is empty:
+    ``signature_len``, ``n_bands`` and ``rows_per_band`` are all 0.
+    """
 
     signature_len: int
     n_bands: int
@@ -129,7 +136,11 @@ class LshPlan:
 
 
 def plan(records_e: DataFrame, records_i: DataFrame, *, window_sec: int, cfg: LshConfig) -> LshPlan:
-    """Derive signature length and banding from the data's time span."""
+    """Derive signature length and banding from the data's time span.
+
+    Runs one Spark job, which collects the span's first and last query
+    window.
+    """
     q_sec = window_sec * cfg.step
     bounds = (
         records_e.select("ts")
@@ -140,6 +151,8 @@ def plan(records_e: DataFrame, records_i: DataFrame, *, window_sec: int, cfg: Ls
         )
         .collect()[0]
     )
+    if bounds["lo"] is None:  # no records on either side
+        return LshPlan(signature_len=0, n_bands=0, rows_per_band=0, qw_min=0)
     qw_min, qw_max = int(bounds["lo"]), int(bounds["hi"])
     s = qw_max - qw_min + 1
     b = n_bands(s, cfg.threshold)
@@ -161,6 +174,8 @@ def lsh_candidates(
     the banding plan (for reporting).
     """
     p = plan(records_e, records_i, window_sec=window_sec, cfg=cfg)
+    if p.signature_len == 0:  # no records, so no signature to band
+        return records_e.select(F.col("entity").alias("u"), F.col("entity").alias("v")).limit(0), p
     sig_e = signatures(records_e, level=cfg.level, window_sec=window_sec, step=cfg.step)
     sig_i = signatures(records_i, level=cfg.level, window_sec=window_sec, step=cfg.step)
     be = band_buckets(sig_e, qw_min=p.qw_min, r=p.rows_per_band, n_buckets=cfg.n_buckets)

@@ -11,16 +11,19 @@ furthest-neighbour (MFN) pass adds alibi (negative-proximity) pairs,
 normalization. Ablation switches reproduce the paper's Fig. 10
 variants: all-pairs pairing, MNN-only, no-idf, no-normalization.
 
-Dataflow: the candidate relation is joined with both bin relations on
-the shared window (a Catalyst shuffle join producing one row per
-within-window bin pair), then ``applyInPandas`` grouped by (u, v) runs
-the MNN/MFN selection. The greedy selection is sequential *within a
-window* but independent *across windows*, so the kernel runs it as
-vectorized rounds: each round picks the current nearest (furthest)
-free pair of every window simultaneously — identical to the paper's
-one-pair-at-a-time loop, with no per-window Python iteration.
-Length/idf factors are corpus statistics, computed as DataFrames over
-the full datasets and joined in.
+Dataflow: each side's bins get their corpus statistics as columns —
+idf per (window, cell) and L per entity, both window counts over the
+bin rows plus one shared one-row aggregate (|U| and the bin total) —
+so each side is aggregated once and no statistic needs an action. The
+candidate relation is then joined with both sides on the shared window
+(a Catalyst shuffle join producing one row per within-window bin pair,
+carrying idf_e, idf_i, L_u and L_v), and ``applyInPandas`` grouped by
+(u, v) runs the MNN/MFN selection and divides by L_u·L_v itself. The
+greedy selection is sequential *within a window* but independent
+*across windows*, so the kernel runs it as vectorized rounds: each
+round picks the current nearest (furthest) free pair of every window
+simultaneously — identical to the paper's one-pair-at-a-time loop,
+with no per-window Python iteration.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from repro.core import histories, proximity
 from repro.grid import cells
 
 _KERNEL_SCHEMA = (
-    "u long, v long, raw double, n_pairs long, n_alibi long, n_comp long"
+    "u long, v long, score double, n_pairs long, n_alibi long, n_comp long"
 )
 
 Pairing = Literal["mnn", "all"]
@@ -107,11 +110,14 @@ def _make_kernel(
     pairing: Pairing,
     use_mfn: bool,
     use_idf: bool,
+    use_norm: bool,
 ):
     """Build the per-(u, v) applyInPandas kernel.
 
     The incoming group holds the full within-window cross product of
-    bin pairs: columns ``window, cell_e, cell_i, idf_e, idf_i``.
+    bin pairs: columns ``window, cell_e, cell_i``, plus ``idf_e, idf_i``
+    when ``use_idf`` and the length factors ``L_u, L_v`` (constant in
+    the group) when ``use_norm``.
     """
 
     def kernel(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
@@ -146,9 +152,12 @@ def _make_kernel(
             raw = float(contrib[included].sum())
             n_sel = int(included.sum())
             n_alibi = int(alibi[included].sum())
+        score = raw
+        if use_norm:
+            score = raw / (float(pdf["L_u"].iat[0]) * float(pdf["L_v"].iat[0]))
         return pd.DataFrame(
-            [[u, v, raw, n_sel, n_alibi, n_comp]],
-            columns=["u", "v", "raw", "n_pairs", "n_alibi", "n_comp"],
+            [[u, v, score, n_sel, n_alibi, n_comp]],
+            columns=["u", "v", "score", "n_pairs", "n_alibi", "n_comp"],
         )
 
     return kernel
@@ -178,25 +187,18 @@ def pair_scores(
     """
     runaway = proximity.runaway_distance_m(window_sec, alpha_m_per_sec)
 
-    ebins = bins_e.select(
-        F.col("entity").alias("u"), "window", F.col("cell").alias("cell_e")
-    )
-    ibins = bins_i.select(
-        F.col("entity").alias("v"), "window", F.col("cell").alias("cell_i")
-    )
-    if use_idf:
-        idf_e = histories.idf(bins_e).select(
-            "window", F.col("cell").alias("cell_e"), F.col("idf").alias("idf_e")
-        )
-        idf_i = histories.idf(bins_i).select(
-            "window", F.col("cell").alias("cell_i"), F.col("idf").alias("idf_i")
-        )
-        ebins = ebins.join(idf_e, ["window", "cell_e"])
-        ibins = ibins.join(idf_i, ["window", "cell_i"])
-    else:
-        ebins = ebins.withColumn("idf_e", F.lit(1.0))
-        ibins = ibins.withColumn("idf_i", F.lit(1.0))
+    def side(bins: DataFrame, entity: str, cell: str, idf: str, L: str) -> DataFrame:
+        cols = [F.col("entity").alias(entity), "window", F.col("cell").alias(cell)]
+        if use_idf:
+            bins = histories.idf(bins)
+            cols.append(F.col("idf").alias(idf))
+        if use_norm:
+            bins = histories.norm_factors(bins, b=b)
+            cols.append(F.col("L").alias(L))
+        return bins.select(*cols)
 
+    ebins = side(bins_e, "u", "cell_e", "idf_e", "L_u")
+    ibins = side(bins_i, "v", "cell_i", "idf_i", "L_v")
     joined = candidates.join(ebins, "u").join(ibins, ["v", "window"])
     kernel = _make_kernel(
         level=level,
@@ -204,21 +206,6 @@ def pair_scores(
         pairing=pairing,
         use_mfn=use_mfn,
         use_idf=use_idf,
+        use_norm=use_norm,
     )
-    scored = joined.groupBy("u", "v").applyInPandas(kernel, schema=_KERNEL_SCHEMA)
-
-    if use_norm:
-        le = histories.norm_factors(bins_e, b=b).select(
-            F.col("entity").alias("u"), F.col("L").alias("L_u")
-        )
-        li = histories.norm_factors(bins_i, b=b).select(
-            F.col("entity").alias("v"), F.col("L").alias("L_v")
-        )
-        scored = (
-            scored.join(le, "u")
-            .join(li, "v")
-            .withColumn("score", F.col("raw") / (F.col("L_u") * F.col("L_v")))
-        )
-    else:
-        scored = scored.withColumn("score", F.col("raw"))
-    return scored.select("u", "v", "score", "n_pairs", "n_alibi", "n_comp")
+    return joined.groupBy("u", "v").applyInPandas(kernel, schema=_KERNEL_SCHEMA)

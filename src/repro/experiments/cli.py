@@ -21,13 +21,18 @@ def build_session(app: str) -> SparkSession:
     Master and driver memory are fixed at JVM launch (spark-submit or
     ``PYSPARK_SUBMIT_ARGS``); these are the per-session configs.
     Broadcast joins are disabled so that the joins run as shuffles at
-    every scale.
+    every scale. Adaptive query execution may change the output
+    partitioning of a cached plan, so it coalesces the partitions of a
+    cached relation (the LSH candidates, brute force's Cartesian
+    product) like those of any other shuffle; without it every stage
+    that reads the cache runs one task per cached partition.
     """
     return (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", "true")
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -89,14 +89,20 @@ class TestNormFactors:
     def test_b_zero_is_identity(self, tiny_records):
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
-        L = histories.norm_factors(bins, b=0.0).toPandas()
+        L = histories.norm_factors(bins, b=0.0).select("entity", "L").distinct().toPandas()
         assert np.allclose(L["L"], 1.0)
 
     def test_b_one_is_relative_size(self, tiny_records):
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
         sizes = histories.history_sizes(bins).toPandas()
-        L = histories.norm_factors(bins, b=1.0).toPandas().merge(sizes, on="entity")
+        L = (
+            histories.norm_factors(bins, b=1.0)
+            .select("entity", "L")
+            .distinct()
+            .toPandas()
+            .merge(sizes, on="entity")
+        )
         avg = sizes["n_bins"].mean()
         assert np.allclose(L["L"], L["n_bins"] / avg)
 
@@ -105,7 +111,7 @@ class TestNormFactors:
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
         for b in (0.25, 0.5, 0.75):
-            L = histories.norm_factors(bins, b=b).toPandas()
+            L = histories.norm_factors(bins, b=b).select("entity", "L").distinct().toPandas()
             assert L["L"].mean() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
@@ -125,7 +131,7 @@ class TestIdf:
         pdf2["window"] = pdf2["ts"] // 900
         pdf2["cell"] = cells.encode(pdf2["lat"].to_numpy(), pdf2["lon"].to_numpy(), 12)
         oracle.assert_equivalent(
-            histories.idf(bins),
+            histories.idf(bins).select("window", "cell", "idf").distinct(),
             f'SELECT "window", cell, ln({n_u} / count(DISTINCT entity)) AS idf '
             'FROM rec GROUP BY "window", cell',
             rec=pdf2[["entity", "window", "cell"]],
@@ -135,7 +141,7 @@ class TestIdf:
         df, pdf = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
         n_u = pdf["entity"].nunique()
-        vals = histories.idf(bins).toPandas()["idf"]
+        vals = histories.idf(bins).select("window", "cell", "idf").distinct().toPandas()["idf"]
         assert vals.max() <= math.log(n_u) + 1e-9
         assert vals.min() >= 0.0
 
@@ -145,7 +151,7 @@ class TestIdf:
             {"entity": [0, 1, 2], "ts": [0, 1, 2], "lat": [0.0] * 3, "lon": [0.0] * 3}
         )
         bins = histories.build_bins(spark.createDataFrame(pdf), level=12, window_sec=900)
-        vals = histories.idf(bins).toPandas()
+        vals = histories.idf(bins).select("window", "cell", "idf").distinct().toPandas()
         assert len(vals) == 1 and vals["idf"].iloc[0] == pytest.approx(0.0)
 
 

@@ -50,6 +50,10 @@ class TestNBands:
             lsh.n_bands(0, 0.5)
 
 
+def _cell(lat, lon):
+    return int(cells.encode(np.array([lat]), np.array([lon]), 12)[0])
+
+
 @pytest.fixture(scope="module")
 def sig_records(spark):
     """Records with a planted dominating cell per entity/query window."""
@@ -61,6 +65,10 @@ def sig_records(spark):
     rows += [(0, 3700, 0.5, 0.5)]
     # entity 1: dominating (0,0) in qw0; nothing in qw1
     rows += [(1, 50, 0.0, 0.0), (1, 150, 0.0, 0.0), (1, 250, 0.2, 0.2)]
+    # entity 2, qw0: two cells with two records each, the higher cell
+    # id first; the lower cell id must win the tie
+    tied = sorted([(0.0, 0.0), (0.3, 0.3)], key=lambda ll: -_cell(*ll))
+    rows += [(2, t, *tied[k]) for t, k in ((10, 0), (20, 0), (30, 1), (40, 1))]
     pdf = pd.DataFrame(rows, columns=["entity", "ts", "lat", "lon"]).astype(
         {"entity": "int64", "ts": "int64"}
     )
@@ -72,13 +80,14 @@ class TestSignatures:
         df, _ = sig_records
         # window 900 s, step 4 ⇒ query window 3600 s
         sigs = lsh.signatures(df, level=12, window_sec=900, step=4).toPandas()
-        c00 = int(cells.encode(np.array([0.0]), np.array([0.0]), 12)[0])
-        c55 = int(cells.encode(np.array([0.5]), np.array([0.5]), 12)[0])
+        c00, c55, c33 = _cell(0.0, 0.0), _cell(0.5, 0.5), _cell(0.3, 0.3)
         got = sigs.set_index(["entity", "qw"])["cell"]
         assert got[(0, 0)] == c00
         assert got[(0, 1)] == c55
         assert got[(1, 0)] == c00
         assert (1, 1) not in got.index  # placeholder = absent row
+        assert c00 != c33
+        assert got[(2, 0)] == min(c00, c33)  # tie: lowest cell id
 
     def test_oracle_dominating_cell(self, sig_records):
         df, pdf = sig_records
@@ -160,6 +169,14 @@ class TestCandidates:
             plan.signature_len / plan.n_bands
         )
         assert len(cpdf) == len(cpdf.drop_duplicates())
+
+    def test_no_records_empty_plan(self, spark, cab_records):
+        rec_e, _ = cab_records
+        none = spark.createDataFrame([], rec_e.schema)
+        cand, plan = lsh.lsh_candidates(none, none, window_sec=900, cfg=lsh.LshConfig())
+        assert plan == lsh.LshPlan(signature_len=0, n_bands=0, rows_per_band=0, qw_min=0)
+        assert cand.columns == ["u", "v"]
+        assert cand.count() == 0
 
     def test_candidates_subset_of_all_pairs(self, cab_records):
         rec_e, rec_i = cab_records

@@ -7,6 +7,11 @@ from repro.core import metrics
 from repro.core.lsh import LshConfig
 from repro.core.slim import SlimConfig, run_slim
 
+# coarse signature cells: on a 6-hour instance dominating cells at
+# fine levels are tie-unstable (the bench-scale E5 sweep covers that)
+CAB_LSH = SlimConfig(use_lsh=True, lsh=LshConfig(level=10, step=1, threshold=0.3))
+MODES = {"lsh": CAB_LSH, "bf": SlimConfig(use_lsh=False)}
+
 
 @pytest.fixture(scope="module")
 def cab_bf(cab_records):
@@ -17,13 +22,7 @@ def cab_bf(cab_records):
 @pytest.fixture(scope="module")
 def cab_lsh(cab_records):
     rec_e, rec_i = cab_records
-    # coarse signature cells: on a 6-hour instance dominating cells at
-    # fine levels are tie-unstable (the bench-scale E5 sweep covers that)
-    return run_slim(
-        rec_e,
-        rec_i,
-        SlimConfig(use_lsh=True, lsh=LshConfig(level=10, step=1, threshold=0.3)),
-    )
+    return run_slim(rec_e, rec_i, CAB_LSH)
 
 
 class TestBruteForceCab:
@@ -113,11 +112,7 @@ class TestFewMatches:
     def test_no_threshold_below_four_matches(self, small_cab_records):
         # below gmm.MIN_FIT_WEIGHTS matched pairs no mixture is fitted
         rec_e, rec_i = small_cab_records
-        res = run_slim(
-            rec_e,
-            rec_i,
-            SlimConfig(use_lsh=True, lsh=LshConfig(level=10, step=1, threshold=0.3)),
-        )
+        res = run_slim(rec_e, rec_i, CAB_LSH)
         assert 1 <= len(res.matched) < 4
         assert res.threshold.threshold == -np.inf
         pd.testing.assert_frame_equal(res.links, res.matched)
@@ -145,3 +140,86 @@ class TestAblationDirections:
         assert mnn.n_comparisons == allp.n_comparisons
         # but all-pairs includes every pair in the aggregation
         assert allp.scores["n_pairs"].sum() > mnn.scores["n_pairs"].sum()
+
+
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(["u", "v"]).reset_index(drop=True)
+
+
+class TestEmptySides:
+    """An empty side links nothing: no candidates, no threshold."""
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("empty", ["e", "i", "both"])
+    def test_empty_result(self, spark, cab_records, mode, empty):
+        rec_e, rec_i = cab_records
+        none = spark.createDataFrame([], rec_e.schema)
+        res = run_slim(
+            none if empty in ("e", "both") else rec_e,
+            none if empty in ("i", "both") else rec_i,
+            MODES[mode],
+        )
+        assert res.links.empty and res.matched.empty and res.scores.empty
+        assert res.n_candidates == 0
+        assert res.n_comparisons == 0
+        assert res.threshold.threshold == -np.inf
+        if mode == "lsh" and empty == "both":
+            assert res.lsh_plan.signature_len == 0
+
+
+@pytest.fixture(scope="module")
+def cab_reference(cab_records):
+    """One run per mode at the session's settings: what every layout must give."""
+    rec_e, rec_i = cab_records
+    return {mode: run_slim(rec_e, rec_i, cfg) for mode, cfg in MODES.items()}
+
+
+class TestPartitionInvariance:
+    """Scores and links depend on the records, not on how Spark lays them out."""
+
+    def _assert_same(self, got, ref):
+        pd.testing.assert_frame_equal(_sorted(got.scores), _sorted(ref.scores), check_exact=True)
+        pd.testing.assert_frame_equal(_sorted(got.links), _sorted(ref.links), check_exact=True)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_input_repartition(self, cab_records, cab_reference, mode, n):
+        rec_e, rec_i = cab_records
+        got = run_slim(rec_e.repartition(n), rec_i.repartition(n), MODES[mode])
+        self._assert_same(got, cab_reference[mode])
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_shuffle_partitions(self, spark, cab_records, cab_reference, mode, n):
+        rec_e, rec_i = cab_records
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        spark.conf.set(key, str(n))
+        try:
+            got = run_slim(rec_e, rec_i, MODES[mode])
+        finally:
+            spark.conf.set(key, before)
+        self._assert_same(got, cab_reference[mode])
+
+
+# Spark jobs of one warm run_slim call on the Cab test instance. Each
+# side's statistics take one pass and nothing but the LSH plan's collect
+# and the candidate count runs as its own action; a re-added eager
+# action or post-kernel join raises the count.
+JOB_BUDGET = {"lsh": 28, "bf": 22}
+
+
+class TestJobBudget:
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_warm_call_jobs(self, spark, cab_records, mode):
+        rec_e, rec_i = cab_records
+        sc = spark.sparkContext
+        run_slim(rec_e, rec_i, MODES[mode])  # warm-up
+        group = f"test-job-budget-{mode}"
+        sc.setJobGroup(group, group)
+        try:
+            run_slim(rec_e, rec_i, MODES[mode])
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        jobs = sc.statusTracker().getJobIdsForGroup(group)
+        assert 0 < len(jobs) <= JOB_BUDGET[mode]
