@@ -27,6 +27,7 @@ with no per-window Python iteration.
 """
 from __future__ import annotations
 
+import math
 from typing import Literal
 
 import numpy as np
@@ -117,7 +118,9 @@ def _make_kernel(
     The incoming group holds the full within-window cross product of
     bin pairs: columns ``window, cell_e, cell_i``, plus ``idf_e, idf_i``
     when ``use_idf`` and the length factors ``L_u, L_v`` (constant in
-    the group) when ``use_norm``.
+    the group) when ``use_norm``. Contributions are summed with
+    ``math.fsum``, which rounds exactly, so a score does not depend on
+    the order in which the rows arrive.
     """
 
     def kernel(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
@@ -136,7 +139,7 @@ def _make_kernel(
         n_comp = len(pdf)
 
         if pairing == "all":
-            raw = float(contrib.sum())
+            raw = math.fsum(contrib)
             n_sel = n_comp
             n_alibi = int(alibi.sum())
         else:
@@ -149,7 +152,7 @@ def _make_kernel(
                 # MFN pairs count only when they are alibis, and never
                 # double-count an MNN-selected pair (Alg. 1)
                 included = mnn | (mfn & alibi & ~mnn)
-            raw = float(contrib[included].sum())
+            raw = math.fsum(contrib[included])
             n_sel = int(included.sum())
             n_alibi = int(alibi[included].sum())
         score = raw

@@ -193,9 +193,8 @@ class TestKernelRowOrder:
             b = kernel((0, 10), shuffled).iloc[0]
             assert b["n_pairs"] == a["n_pairs"]
             assert b["n_alibi"] == a["n_alibi"]
-            # the same pairs are summed; only the summation order may
-            # move the last bits
-            assert b["score"] == pytest.approx(a["score"], rel=1e-12, abs=1e-12)
+            # the same pairs are summed, and fsum rounds exactly
+            assert b["score"] == a["score"]
 
 
 class TestPairScores:
