@@ -41,11 +41,6 @@ def build_bins(records: DataFrame, *, level: int, window_sec: int) -> DataFrame:
     )
 
 
-def history_sizes(bins: DataFrame) -> DataFrame:
-    """``(entity, n_bins)`` — |H_u|, the number of time-location bins."""
-    return bins.groupBy("entity").agg(F.count(F.lit(1)).alias("n_bins"))
-
-
 def _with_totals(bins: DataFrame) -> DataFrame:
     """``bins`` with the side's totals ``n_entities`` (|U|) and ``n_bins_all``.
 

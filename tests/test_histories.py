@@ -70,7 +70,7 @@ class TestBuildBins:
         assert wide <= narrow
 
 
-class TestHistorySizes:
+class TestNormFactors:
     def test_oracle(self, tiny_records):
         df, pdf = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
@@ -78,14 +78,13 @@ class TestHistorySizes:
         pdf2["window"] = pdf2["ts"] // 900
         pdf2["cell"] = cells.encode(pdf2["lat"].to_numpy(), pdf2["lon"].to_numpy(), 12)
         oracle.assert_equivalent(
-            histories.history_sizes(bins),
-            'SELECT entity, count(*) AS n_bins FROM '
-            '(SELECT DISTINCT entity, "window", cell FROM rec) GROUP BY entity',
+            histories.norm_factors(bins, b=0.5).select("entity", "L").distinct(),
+            'WITH h AS (SELECT entity, count(*) AS n_bins FROM '
+            '(SELECT DISTINCT entity, "window", cell FROM rec) GROUP BY entity) '
+            "SELECT entity, 0.5 + 0.5 * n_bins / (SELECT avg(n_bins) FROM h) AS L FROM h",
             rec=pdf2[["entity", "window", "cell"]],
         )
 
-
-class TestNormFactors:
     def test_b_zero_is_identity(self, tiny_records):
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
@@ -95,7 +94,7 @@ class TestNormFactors:
     def test_b_one_is_relative_size(self, tiny_records):
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
-        sizes = histories.history_sizes(bins).toPandas()
+        sizes = bins.groupBy("entity").agg(F.count(F.lit(1)).alias("n_bins")).toPandas()
         L = (
             histories.norm_factors(bins, b=1.0)
             .select("entity", "L")
