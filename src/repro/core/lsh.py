@@ -175,7 +175,8 @@ def lsh_candidates(
     """
     p = plan(records_e, records_i, window_sec=window_sec, cfg=cfg)
     if p.signature_len == 0:  # no records, so no signature to band
-        return records_e.select(F.col("entity").alias("u"), F.col("entity").alias("v")).limit(0), p
+        empty = records_e.select(F.col("entity").alias("u"), F.col("entity").alias("v"))
+        return empty.limit(0), p
     sig_e = signatures(records_e, level=cfg.level, window_sec=window_sec, step=cfg.step)
     sig_i = signatures(records_i, level=cfg.level, window_sec=window_sec, step=cfg.step)
     be = band_buckets(sig_e, qw_min=p.qw_min, r=p.rows_per_band, n_buckets=cfg.n_buckets)
