@@ -168,10 +168,9 @@ class TestEmptySides:
 
 
 @pytest.fixture(scope="module")
-def cab_reference(cab_records):
-    """One run per mode at the session's settings: what every layout must give."""
-    rec_e, rec_i = cab_records
-    return {mode: run_slim(rec_e, rec_i, cfg) for mode, cfg in MODES.items()}
+def cab_reference(cab_bf, cab_lsh):
+    """The runs at the session's settings: what every layout must give."""
+    return {"bf": cab_bf, "lsh": cab_lsh}
 
 
 class TestPartitionInvariance:
