@@ -8,57 +8,138 @@ per-subtree cell counts; in a DataFrame engine the leaf level is the
 level is the same relation re-aggregated at a coarser window — see
 :mod:`repro.core.lsh` for the dominating-cell queries that use it.
 
-All functions but the two comparison counts return DataFrames so
-Catalyst plans the whole pipeline; nothing else here runs a Spark
-action.
+All functions but :func:`corpus_stats` and the two comparison counts
+return DataFrames so Catalyst plans the whole pipeline; nothing else
+here runs a Spark action.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from dataclasses import dataclass
+
+from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
 from repro.grid import cells
+
+
+def _bin_cols(*, level: int, window_sec: int) -> list[Column]:
+    """A record's ``window`` and ``cell``."""
+    return [
+        F.floor(F.col("ts") / F.lit(int(window_sec))).alias("window"),
+        cells.encode_col(F.col("lat"), F.col("lon"), level).alias("cell"),
+    ]
 
 
 def build_bins(records: DataFrame, *, level: int, window_sec: int) -> DataFrame:
     """Bin records into the history leaf relation.
 
     Input schema ``(entity, ts, lat, lon)``; output
-    ``(entity, window, cell, n_rec)`` with one row per occupied
-    time-location bin and ``n_rec`` the number of records in it. The
-    *set* semantics of the paper's leaves is the distinct (window,
-    cell); counts ride along because the LSH dominating-cell queries
-    need them.
+    ``(entity, window, cell)`` with one row per occupied time-location
+    bin, the *set* semantics of the paper's leaves. The records are
+    hash-partitioned by entity first, so the bin aggregate and the
+    per-entity window of :func:`norm_factors` share that one shuffle.
     """
     return (
-        records.select(
-            "entity",
-            F.floor(F.col("ts") / F.lit(int(window_sec))).alias("window"),
-            cells.encode_col(F.col("lat"), F.col("lon"), level).alias("cell"),
-        )
-        .groupBy("entity", "window", "cell")
-        .agg(F.count(F.lit(1)).alias("n_rec"))
+        records.repartition("entity")
+        .select("entity", *_bin_cols(level=level, window_sec=window_sec))
+        .distinct()
     )
 
 
-def _with_totals(bins: DataFrame) -> DataFrame:
-    """``bins`` with the side's totals ``n_entities`` (|U|) and ``n_bins_all``.
+@dataclass(frozen=True)
+class SideTotals:
+    """One side's |U| (entities with a record) and its number of bins."""
 
-    The totals are one one-row aggregate, attached to every bin row by a
-    crossJoin. A relation that already carries them (the output of
-    :func:`idf` or :func:`norm_factors`) is returned as it is, so
-    ``norm_factors(idf(bins))`` aggregates each side once.
+    n_entities: int
+    n_bins: int
+
+
+@dataclass(frozen=True)
+class CorpusStats:
+    """Corpus statistics of a linkage instance, from one aggregate.
+
+    ``qw_span`` is the first and last LSH query window over both
+    sides' records: ``None`` when no query window length was given or
+    there are no records.
     """
-    if "n_entities" in bins.columns:
-        return bins
-    totals = bins.agg(
-        F.countDistinct("entity").alias("n_entities"),
-        F.count(F.lit(1)).alias("n_bins_all"),
+
+    e: SideTotals
+    i: SideTotals
+    qw_span: tuple[int, int] | None
+
+
+_INTEGER_TYPES = (T.ByteType, T.ShortType, T.IntegerType, T.LongType)
+
+
+def corpus_stats(
+    records_e: DataFrame,
+    records_i: DataFrame,
+    *,
+    level: int,
+    window_sec: int,
+    query_sec: int | None = None,
+) -> CorpusStats:
+    """Both sides' totals and the query-window span; runs one Spark job.
+
+    The same aggregate enforces the records' contract: no null entity,
+    ts, lat or lon, lat within [−90, 90] and lon within [−180, 180]
+    (``ValueError`` otherwise, as for a ``ts`` that is not of an
+    integer type, which the schema shows without a job). With nulls
+    rejected, ``countDistinct(entity, window, cell)`` counts exactly
+    the rows :func:`build_bins` emits.
+    """
+    for name, rec in (("records_e", records_e), ("records_i", records_i)):
+        ts_type = rec.schema["ts"].dataType
+        if not isinstance(ts_type, _INTEGER_TYPES):
+            raise ValueError(f"{name}: ts must have an integer type, not {ts_type.simpleString()}")
+    cols = ["entity", "ts", "lat", "lon"]
+    both = records_e.select(F.lit("e").alias("side"), *cols).unionAll(
+        records_i.select(F.lit("i").alias("side"), *cols)
     )
-    return bins.crossJoin(totals)
+    binned = both.select("*", *_bin_cols(level=level, window_sec=window_sec))
+    checks = (
+        (
+            "a null entity, ts, lat or lon",
+            F.col("entity").isNull() | F.col("ts").isNull() | F.col("lat").isNull() | F.col("lon").isNull(),
+        ),
+        ("a lat outside [-90, 90]", ~F.col("lat").between(-90.0, 90.0)),
+        ("a lon outside [-180, 180]", ~F.col("lon").between(-180.0, 180.0)),
+    )
+    aggs = []
+    for side in ("e", "i"):
+        mine = F.col("side") == side
+        entity = F.when(mine, F.col("entity"))
+        aggs += [
+            F.countDistinct(entity).alias(f"n_entities_{side}"),
+            F.countDistinct(entity, "window", "cell").alias(f"n_bins_{side}"),
+        ]
+        aggs += [F.count_if(mine & bad).alias(f"bad_{side}{k}") for k, (_, bad) in enumerate(checks)]
+    if query_sec is not None:
+        aggs += [
+            F.floor(F.min("ts") / query_sec).alias("qw_lo"),
+            F.floor(F.max("ts") / query_sec).alias("qw_hi"),
+        ]
+    row = binned.agg(*aggs).collect()[0].asDict()
+    bad = [
+        f"{row[f'bad_{side}{k}']} records_{side} rows have {what}"
+        for side in ("e", "i")
+        for k, (what, _) in enumerate(checks)
+        if row[f"bad_{side}{k}"]
+    ]
+    if bad:
+        raise ValueError("invalid records: " + "; ".join(bad))
+    span = None
+    if query_sec is not None and row["qw_lo"] is not None:
+        span = (int(row["qw_lo"]), int(row["qw_hi"]))
+    return CorpusStats(
+        e=SideTotals(row["n_entities_e"], row["n_bins_e"]),
+        i=SideTotals(row["n_entities_i"], row["n_bins_i"]),
+        qw_span=span,
+    )
 
 
-def norm_factors(bins: DataFrame, *, b: float) -> DataFrame:
+def norm_factors(bins: DataFrame, totals: SideTotals, *, b: float) -> DataFrame:
     """BM25-style length normalization ``L(u) = (1−b) + b·|H_u|/avg|H|``.
 
     Eq. 2's denominator component; ``b`` ∈ [0, 1] tunes how strongly
@@ -66,20 +147,19 @@ def norm_factors(bins: DataFrame, *, b: float) -> DataFrame:
 
     ``bins`` must hold one row per (entity, window, cell), as
     :func:`build_bins` emits, so that |H_u| is the row count of entity
-    u. Returns the input rows with ``L`` added, plus the side totals
-    ``n_entities`` and ``n_bins_all`` (avg|H| = n_bins_all / n_entities).
-    Runs no Spark action.
+    u, a window over the entity partitioning ``build_bins`` already
+    has. avg|H| is ``totals.n_bins / totals.n_entities``, a literal
+    from :func:`corpus_stats`. Returns the input rows with ``L`` added;
+    runs no Spark action.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must be in [0, 1]")
     n_bins = F.count(F.lit(1)).over(Window.partitionBy("entity"))
-    avg_bins = F.col("n_bins_all") / F.col("n_entities")
-    return _with_totals(bins).withColumn(
-        "L", F.lit(1.0 - b) + F.lit(b) * n_bins / avg_bins
-    )
+    avg_bins = F.lit(totals.n_bins) / F.lit(totals.n_entities)
+    return bins.withColumn("L", F.lit(1.0 - b) + F.lit(b) * n_bins / avg_bins)
 
 
-def idf(bins: DataFrame) -> DataFrame:
+def idf(bins: DataFrame, totals: SideTotals) -> DataFrame:
     """Per-bin inverse document frequency (Eq. 3).
 
     ``idf(e) = log(|U| / |{u : e ∈ H_u}|)`` where the document
@@ -87,14 +167,12 @@ def idf(bins: DataFrame) -> DataFrame:
 
     ``bins`` must hold one row per (entity, window, cell), as
     :func:`build_bins` emits, so that the document frequency is the row
-    count of the bin. Returns the input rows with ``idf`` added, plus
-    the side totals ``n_entities`` and ``n_bins_all``. Runs no Spark
-    action.
+    count of the bin, a window over (window, cell). |U| is
+    ``totals.n_entities``, a literal from :func:`corpus_stats`. Returns
+    the input rows with ``idf`` added; runs no Spark action.
     """
     df = F.count(F.lit(1)).over(Window.partitionBy("window", "cell"))
-    return _with_totals(bins).withColumn(
-        "idf", F.log(F.col("n_entities").cast("double") / df)
-    )
+    return bins.withColumn("idf", F.log(F.lit(totals.n_entities).cast("double") / df))
 
 
 def window_bin_counts(bins: DataFrame) -> DataFrame:

@@ -79,12 +79,15 @@ def signatures(records: DataFrame, *, level: int, window_sec: int, step: int) ->
     holding the most of the entity's records in the query window; ties
     go to the lowest cell id, so the result is deterministic. One
     aggregate computes it: ``mode`` over the records' cells, whose
-    deterministic variant breaks ties on the smallest value.
+    deterministic variant breaks ties on the smallest value. The
+    records are hash-partitioned by entity first, so this aggregate and
+    :func:`band_buckets`' per-entity one share that one shuffle.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
     return (
-        records.select(
+        records.repartition("entity")
+        .select(
             "entity",
             F.floor(F.col("ts") / F.lit(int(window_sec * step))).alias("qw"),
             cells.encode_col(F.col("lat"), F.col("lon"), level).alias("cell"),
@@ -135,25 +138,16 @@ class LshPlan:
     qw_min: int
 
 
-def plan(records_e: DataFrame, records_i: DataFrame, *, window_sec: int, cfg: LshConfig) -> LshPlan:
+def plan(qw_span: tuple[int, int] | None, *, cfg: LshConfig) -> LshPlan:
     """Derive signature length and banding from the data's time span.
 
-    Runs one Spark job, which collects the span's first and last query
-    window.
+    ``qw_span`` is the first and last query window over both sides'
+    records (:func:`repro.core.histories.corpus_stats`), ``None`` when
+    there are none. Pure arithmetic: runs no Spark job.
     """
-    q_sec = window_sec * cfg.step
-    bounds = (
-        records_e.select("ts")
-        .unionAll(records_i.select("ts"))
-        .agg(
-            F.floor(F.min("ts") / q_sec).alias("lo"),
-            F.floor(F.max("ts") / q_sec).alias("hi"),
-        )
-        .collect()[0]
-    )
-    if bounds["lo"] is None:  # no records on either side
+    if qw_span is None:  # no records on either side
         return LshPlan(signature_len=0, n_bands=0, rows_per_band=0, qw_min=0)
-    qw_min, qw_max = int(bounds["lo"]), int(bounds["hi"])
+    qw_min, qw_max = qw_span
     s = qw_max - qw_min + 1
     b = n_bands(s, cfg.threshold)
     r = math.ceil(s / b)
@@ -166,17 +160,17 @@ def lsh_candidates(
     *,
     window_sec: int,
     cfg: LshConfig,
+    qw_span: tuple[int, int] | None,
 ) -> tuple[DataFrame, LshPlan]:
     """Candidate entity pairs ``(u, v)`` sharing a (band, bucket).
 
     This is the paper's filtering step: only these pairs proceed to
-    similarity scoring. Returns the distinct candidate relation plus
-    the banding plan (for reporting).
+    similarity scoring. ``qw_span`` is :func:`plan`'s span, for query
+    windows of ``window_sec · cfg.step`` seconds. Returns the distinct
+    candidate relation plus the banding plan (for reporting); runs no
+    Spark job.
     """
-    p = plan(records_e, records_i, window_sec=window_sec, cfg=cfg)
-    if p.signature_len == 0:  # no records, so no signature to band
-        empty = records_e.select(F.col("entity").alias("u"), F.col("entity").alias("v"))
-        return empty.limit(0), p
+    p = plan(qw_span, cfg=cfg)
     sig_e = signatures(records_e, level=cfg.level, window_sec=window_sec, step=cfg.step)
     sig_i = signatures(records_i, level=cfg.level, window_sec=window_sec, step=cfg.step)
     be = band_buckets(sig_e, qw_min=p.qw_min, r=p.rows_per_band, n_buckets=cfg.n_buckets)
@@ -188,4 +182,3 @@ def lsh_candidates(
         .distinct()
     )
     return cand, p
-

@@ -11,23 +11,28 @@ furthest-neighbour (MFN) pass adds alibi (negative-proximity) pairs,
 normalization. Ablation switches reproduce the paper's Fig. 10
 variants: all-pairs pairing, MNN-only, no-idf, no-normalization.
 
-Dataflow: each side's bins get their corpus statistics as columns —
-idf per (window, cell) and L per entity, both window counts over the
-bin rows plus one shared one-row aggregate (|U| and the bin total) —
-so each side is aggregated once and no statistic needs an action. The
-candidate relation is then joined with both sides on the shared window
-(a Catalyst shuffle join producing one row per within-window bin pair,
-carrying idf_e, idf_i, L_u and L_v), and ``applyInPandas`` grouped by
-(u, v) runs the MNN/MFN selection and divides by L_u·L_v itself. The
-greedy selection is sequential *within a window* but independent
-*across windows*, so the kernel runs it as vectorized rounds: each
-round picks the current nearest (furthest) free pair of every window
-simultaneously — identical to the paper's one-pair-at-a-time loop,
-with no per-window Python iteration.
+Dataflow: one aggregate over both sides' records
+(:func:`repro.core.histories.corpus_stats`) gives each side's |U| and
+bin total, so idf per (window, cell) and L per entity are window
+counts over the bin rows with those totals as literals; no statistic
+needs an action of its own. Each side's bins are hash-partitioned by
+entity, which the L window reuses. The candidate relation is joined
+with both sides on the shared window (a Catalyst shuffle join producing
+one row per within-window bin pair, carrying idf_e, idf_i, L_u and
+L_v), the bin pairs are hash-partitioned by (u, v), and
+``mapInPandas`` scores a whole partition per call: the greedy MNN/MFN
+selection runs once over the partition, keyed on dense (u, v, window)
+ids, and each pair's selected contributions are summed and divided by
+L_u·L_v. The greedy selection is sequential *within a window* but
+independent *across windows*, so the kernel runs it as vectorized
+rounds: each round picks the current nearest (furthest) free pair of
+every window simultaneously — identical to the paper's
+one-pair-at-a-time loop, with no per-window Python iteration.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import Literal
 
 import numpy as np
@@ -45,17 +50,17 @@ _KERNEL_SCHEMA = (
 Pairing = Literal["mnn", "all"]
 
 
+def empty_scores() -> pd.DataFrame:
+    """:func:`pair_scores`' columns, as ``toPandas`` types them, with no rows."""
+    cols = [c.split() for c in _KERNEL_SCHEMA.split(", ")]
+    return pd.DataFrame({name: pd.Series(dtype={"long": "int64", "double": "float64"}[t]) for name, t in cols})
+
+
 def all_pairs(bins_e: DataFrame, bins_i: DataFrame) -> DataFrame:
     """Brute-force candidate relation: every (u, v) entity pair."""
     ue = bins_e.select(F.col("entity").alias("u")).distinct()
     ui = bins_i.select(F.col("entity").alias("v")).distinct()
     return ue.crossJoin(ui)
-
-
-def _bin_ids(win: np.ndarray, cell: np.ndarray) -> np.ndarray:
-    """Dense ids for distinct (window, cell) bins of one side."""
-    _, inv = np.unique(np.stack([win, cell], axis=1), axis=0, return_inverse=True)
-    return inv
 
 
 def greedy_select_mask(
@@ -72,36 +77,39 @@ def greedy_select_mask(
     repeatedly pick the nearest (furthest) pair among bins not yet
     used, until the smaller side is exhausted. Windows are independent,
     so one pick per window per round reproduces the sequential greedy.
-    Distance ties go to the smallest ``(eid, iid)``: with ``eid``/``iid``
-    the dense (window, cell) ranks of :func:`_bin_ids`, the selection
-    depends only on the bins, never on the order of the rows.
+    ``win`` identifies a window of one entity pair; ``eid``/``iid``
+    identify a bin of it, ordered like the bins' cells. Distance ties
+    go to the smallest ``(eid, iid)``, so the selection depends only on
+    the bins, never on the order of the rows. The rows are sorted once;
+    each round takes every window's first row and drops the rows whose
+    bins it used.
     """
-    n = d.size
-    sel = np.zeros(n, dtype=bool)
-    if n == 0:
+    sel = np.zeros(d.size, dtype=bool)
+    if d.size == 0:
         return sel
     key = -d if furthest else d
+    rows = np.lexsort((iid, eid, key, win))
     taken_e = np.zeros(int(eid.max()) + 1, dtype=bool)
     taken_i = np.zeros(int(iid.max()) + 1, dtype=bool)
-    while True:
-        active = ~(taken_e[eid] | taken_i[iid])
-        if not active.any():
-            break
-        k = np.where(active, key, np.inf)
-        # per-window argmin: sort by (window, key, eid, iid) and take
-        # each window's first finite row
-        perm = np.lexsort((iid, eid, k, win))
-        w_sorted = win[perm]
-        first = np.ones(n, dtype=bool)
-        first[1:] = w_sorted[1:] != w_sorted[:-1]
-        winners = perm[first]
-        winners = winners[np.isfinite(k[winners])]
-        if winners.size == 0:
-            break
+    while rows.size:
+        w = win[rows]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = w[1:] != w[:-1]
+        winners = rows[first]
         sel[winners] = True
         taken_e[eid[winners]] = True
         taken_i[iid[winners]] = True
+        rows = rows[~(taken_e[eid[rows]] | taken_i[iid[rows]])]
     return sel
+
+
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows where the sorted ``keys`` tuple changes."""
+    start = np.zeros(keys[0].size, dtype=bool)
+    start[:1] = True
+    for k in keys:
+        start[1:] |= k[1:] != k[:-1]
+    return start
 
 
 def _make_kernel(
@@ -113,54 +121,73 @@ def _make_kernel(
     use_idf: bool,
     use_norm: bool,
 ):
-    """Build the per-(u, v) applyInPandas kernel.
+    """Build the per-partition ``mapInPandas`` kernel.
 
-    The incoming group holds the full within-window cross product of
-    bin pairs: columns ``window, cell_e, cell_i``, plus ``idf_e, idf_i``
-    when ``use_idf`` and the length factors ``L_u, L_v`` (constant in
-    the group) when ``use_norm``. Contributions are summed with
-    ``math.fsum``, which rounds exactly, so a score does not depend on
-    the order in which the rows arrive.
+    A partition holds whole (u, v) pairs, each the within-window cross
+    product of its bin pairs: columns ``u, v, window, cell_e, cell_i``,
+    plus ``idf_e, idf_i`` when ``use_idf`` and the length factors
+    ``L_u, L_v`` (constant per pair) when ``use_norm``. The kernel
+    concatenates the partition's Arrow batches, so a pair may span
+    batches. Contributions are summed with ``math.fsum``, which rounds
+    exactly, so a score does not depend on the order in which the rows
+    arrive.
     """
 
-    def kernel(key: tuple, pdf: pd.DataFrame) -> pd.DataFrame:
-        u, v = key
+    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        frames = [b for b in batches if len(b)]
+        if not frames:
+            return
+        pdf = pd.concat(frames, ignore_index=True)
+        pdf = pdf.sort_values(["u", "v", "window", "cell_e", "cell_i"], ignore_index=True)
+        u = pdf["u"].to_numpy(np.int64)
+        v = pdf["v"].to_numpy(np.int64)
         win = pdf["window"].to_numpy(np.int64)
         ce = pdf["cell_e"].to_numpy(np.int64)
         ci = pdf["cell_i"].to_numpy(np.int64)
         d = cells.min_distance_m(ce, ci, level)
-        p = proximity.proximity(d, runaway_m)
+        contrib = proximity.proximity(d, runaway_m)
         if use_idf:
-            w = np.minimum(pdf["idf_e"].to_numpy(), pdf["idf_i"].to_numpy())
-        else:
-            w = np.ones(len(pdf))
-        contrib = p * w
+            contrib = contrib * np.minimum(pdf["idf_e"].to_numpy(), pdf["idf_i"].to_numpy())
         alibi = proximity.is_alibi(d, runaway_m)
-        n_comp = len(pdf)
 
         if pairing == "all":
-            raw = math.fsum(contrib)
-            n_sel = n_comp
-            n_alibi = int(alibi.sum())
+            included = np.ones(len(pdf), dtype=bool)
         else:
-            eid = _bin_ids(win, ce)
-            iid = _bin_ids(win, ci)
-            mnn = greedy_select_mask(win, eid, iid, d, furthest=False)
+            # dense ids of the (u, v, window) groups and of their bins;
+            # the rows are sorted, so a bin's rank follows its cell
+            gid = np.cumsum(_starts(u, v, win)) - 1
+            eid = np.cumsum(_starts(gid, ce)) - 1
+            by_i = np.lexsort((ci, gid))
+            iid = np.empty_like(gid)
+            iid[by_i] = np.cumsum(_starts(gid[by_i], ci[by_i])) - 1
+            mnn = greedy_select_mask(gid, eid, iid, d, furthest=False)
             included = mnn
             if use_mfn:
-                mfn = greedy_select_mask(win, eid, iid, d, furthest=True)
+                mfn = greedy_select_mask(gid, eid, iid, d, furthest=True)
                 # MFN pairs count only when they are alibis, and never
                 # double-count an MNN-selected pair (Alg. 1)
                 included = mnn | (mfn & alibi & ~mnn)
-            raw = math.fsum(contrib[included])
-            n_sel = int(included.sum())
-            n_alibi = int(alibi[included].sum())
-        score = raw
+
+        first = np.flatnonzero(_starts(u, v))
+        n_comp = np.diff(np.append(first, len(pdf)))
+        n_pairs = np.add.reduceat(included.astype(np.int64), first)
+        n_alibi = np.add.reduceat((alibi & included).astype(np.int64), first)
+        picked = contrib[included].tolist()
+        ends = np.cumsum(n_pairs)
+        score = np.array([math.fsum(picked[s:e]) for s, e in zip(ends - n_pairs, ends)])
         if use_norm:
-            score = raw / (float(pdf["L_u"].iat[0]) * float(pdf["L_v"].iat[0]))
-        return pd.DataFrame(
-            [[u, v, score, n_sel, n_alibi, n_comp]],
-            columns=["u", "v", "score", "n_pairs", "n_alibi", "n_comp"],
+            L_u = pdf["L_u"].to_numpy(np.float64)[first]
+            L_v = pdf["L_v"].to_numpy(np.float64)[first]
+            score = score / (L_u * L_v)
+        yield pd.DataFrame(
+            {
+                "u": u[first],
+                "v": v[first],
+                "score": score,
+                "n_pairs": n_pairs,
+                "n_alibi": n_alibi,
+                "n_comp": n_comp,
+            }
         )
 
     return kernel
@@ -171,6 +198,7 @@ def pair_scores(
     bins_i: DataFrame,
     candidates: DataFrame,
     *,
+    stats: histories.CorpusStats,
     level: int,
     window_sec: int,
     alpha_m_per_sec: float = proximity.DEFAULT_ALPHA_M_PER_SEC,
@@ -182,26 +210,29 @@ def pair_scores(
 ) -> DataFrame:
     """Score every candidate pair (Eq. 2 over Alg. 1's pairing).
 
-    Returns ``(u, v, score, n_pairs, n_alibi, n_comp)`` with one row
-    per candidate pair that shares at least one temporal window
-    (others have score 0 and are irrelevant to the bipartite graph).
+    ``stats`` holds both sides' totals for idf and L
+    (:func:`repro.core.histories.corpus_stats`). Returns
+    ``(u, v, score, n_pairs, n_alibi, n_comp)`` with one row per
+    candidate pair that shares at least one temporal window (others
+    have score 0 and are irrelevant to the bipartite graph).
     ``n_comp`` is the paper's pairwise-comparison cost metric;
     ``n_alibi`` counts included alibi bin pairs.
     """
     runaway = proximity.runaway_distance_m(window_sec, alpha_m_per_sec)
 
-    def side(bins: DataFrame, entity: str, cell: str, idf: str, L: str) -> DataFrame:
+    def side(bins: DataFrame, totals: histories.SideTotals, entity: str, cell: str, idf: str, L: str) -> DataFrame:
         cols = [F.col("entity").alias(entity), "window", F.col("cell").alias(cell)]
-        if use_idf:
-            bins = histories.idf(bins)
-            cols.append(F.col("idf").alias(idf))
+        # the entity window first: it reuses build_bins' partitioning
         if use_norm:
-            bins = histories.norm_factors(bins, b=b)
+            bins = histories.norm_factors(bins, totals, b=b)
             cols.append(F.col("L").alias(L))
+        if use_idf:
+            bins = histories.idf(bins, totals)
+            cols.append(F.col("idf").alias(idf))
         return bins.select(*cols)
 
-    ebins = side(bins_e, "u", "cell_e", "idf_e", "L_u")
-    ibins = side(bins_i, "v", "cell_i", "idf_i", "L_v")
+    ebins = side(bins_e, stats.e, "u", "cell_e", "idf_e", "L_u")
+    ibins = side(bins_i, stats.i, "v", "cell_i", "idf_i", "L_v")
     joined = candidates.join(ebins, "u").join(ibins, ["v", "window"])
     kernel = _make_kernel(
         level=level,
@@ -211,4 +242,6 @@ def pair_scores(
         use_idf=use_idf,
         use_norm=use_norm,
     )
-    return joined.groupBy("u", "v").applyInPandas(kernel, schema=_KERNEL_SCHEMA)
+    # hash partitioning keeps each pair in one partition; adaptive
+    # execution may merge partitions but never splits one
+    return joined.repartition("u", "v").mapInPandas(kernel, schema=_KERNEL_SCHEMA)

@@ -64,38 +64,54 @@ class SlimResult:
 
 
 def run_slim(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> SlimResult:
-    """Link two location datasets; see module docstring for stages."""
+    """Link two location datasets; see module docstring for stages.
+
+    Raises ``ValueError`` for records that break the input contract of
+    :func:`repro.core.histories.corpus_stats`.
+    """
     t0 = time.monotonic()
+    stats = histories.corpus_stats(
+        records_e,
+        records_i,
+        level=cfg.level,
+        window_sec=cfg.window_sec,
+        query_sec=cfg.window_sec * cfg.lsh.step if cfg.use_lsh else None,
+    )
     bins_e = histories.build_bins(records_e, level=cfg.level, window_sec=cfg.window_sec)
     bins_i = histories.build_bins(records_i, level=cfg.level, window_sec=cfg.window_sec)
 
     lsh_plan: LshPlan | None = None
     if cfg.use_lsh:
         candidates, lsh_plan = lsh_candidates(
-            records_e, records_i, window_sec=cfg.window_sec, cfg=cfg.lsh
+            records_e, records_i, window_sec=cfg.window_sec, cfg=cfg.lsh, qw_span=stats.qw_span
         )
     else:
         candidates = similarity.all_pairs(bins_e, bins_i)
-    candidates = candidates.cache()
-    n_candidates = candidates.count()
 
-    scored = similarity.pair_scores(
-        bins_e,
-        bins_i,
-        candidates,
-        level=cfg.level,
-        window_sec=cfg.window_sec,
-        alpha_m_per_sec=cfg.alpha_m_per_sec,
-        b=cfg.b,
-        pairing=cfg.pairing,
-        use_mfn=cfg.use_mfn,
-        use_idf=cfg.use_idf,
-        use_norm=cfg.use_norm,
-    ).toPandas()
-    candidates.unpersist()
+    if stats.e.n_entities and stats.i.n_entities:
+        candidates = candidates.cache()
+        n_candidates = candidates.count()
+        scored = similarity.pair_scores(
+            bins_e,
+            bins_i,
+            candidates,
+            stats=stats,
+            level=cfg.level,
+            window_sec=cfg.window_sec,
+            alpha_m_per_sec=cfg.alpha_m_per_sec,
+            b=cfg.b,
+            pairing=cfg.pairing,
+            use_mfn=cfg.use_mfn,
+            use_idf=cfg.use_idf,
+            use_norm=cfg.use_norm,
+        ).toPandas()
+        candidates.unpersist()
+    else:  # an empty side links nothing
+        n_candidates = 0
+        scored = similarity.empty_scores()
 
-    n_comparisons = int(scored["n_comp"].sum()) if len(scored) else 0
-    n_alibi_pairs = int((scored["n_alibi"] > 0).sum()) if len(scored) else 0
+    n_comparisons = int(scored["n_comp"].sum())
+    n_alibi_pairs = int((scored["n_alibi"] > 0).sum())
 
     # positive-score edges form the bipartite graph (Sec 3.1 end)
     edges = scored[scored["score"] > 0][["u", "v", "score"]]

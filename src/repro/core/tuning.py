@@ -71,6 +71,7 @@ def self_similarity_ratio(
     probes = rng.choice(ents, size=min(n_probe, len(ents)), replace=False)
     others = rng.choice(ents, size=min(n_others, len(ents)), replace=False)
     spark = records.sparkSession
+    stats = histories.corpus_stats(records, records, level=level, window_sec=window_sec)
     bins = histories.build_bins(records, level=level, window_sec=window_sec)
     cand = spark.createDataFrame(
         [(int(u), int(v)) for u in probes for v in set(others) | set(probes)],
@@ -80,6 +81,7 @@ def self_similarity_ratio(
         bins,
         bins,
         cand,
+        stats=stats,
         level=level,
         window_sec=window_sec,
         alpha_m_per_sec=alpha_m_per_sec,

@@ -50,12 +50,17 @@ def run(
     bins_e = histories.build_bins(rec_e, level=level, window_sec=window_sec).cache()
     bins_i = histories.build_bins(rec_i, level=level, window_sec=window_sec).cache()
     comp_bf = histories.comparison_count_all_pairs(bins_e, bins_i)
+    stats = histories.corpus_stats(
+        rec_e, rec_i, level=level, window_sec=window_sec, query_sec=window_sec * step
+    )
 
     rows = []
     for t in thresholds:
         for nb in bucket_counts:
             cfg = LshConfig(level=sig_level, step=step, threshold=t, n_buckets=nb)
-            cand, plan = lsh_candidates(rec_e, rec_i, window_sec=window_sec, cfg=cfg)
+            cand, plan = lsh_candidates(
+                rec_e, rec_i, window_sec=window_sec, cfg=cfg, qw_span=stats.qw_span
+            )
             cand = cand.cache()
             n_cand = cand.count()
             comp = histories.comparison_count_candidates(bins_e, bins_i, cand)

@@ -38,8 +38,7 @@ class TestBuildBins:
         pdf2["cell"] = cells.encode(pdf2["lat"].to_numpy(), pdf2["lon"].to_numpy(), 12)
         oracle.assert_equivalent(
             bins,
-            'SELECT entity, "window", cell, count(*) AS n_rec '
-            'FROM rec GROUP BY entity, "window", cell',
+            'SELECT DISTINCT entity, "window", cell FROM rec',
             rec=pdf2[["entity", "window", "cell"]],
         )
         assert step > 0  # silence unused warning
@@ -53,9 +52,15 @@ class TestBuildBins:
         )
 
     def test_total_records_preserved(self, tiny_records):
+        # every record falls into a bin of its own entity
         df, pdf = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
-        assert bins.agg(F.sum("n_rec")).collect()[0][0] == len(pdf)
+        binned = df.select(
+            "entity",
+            F.floor(F.col("ts") / 900).alias("window"),
+            cells.encode_col(F.col("lat"), F.col("lon"), 12).alias("cell"),
+        )
+        assert binned.join(bins, ["entity", "window", "cell"]).count() == len(pdf)
 
     def test_finer_level_no_fewer_bins(self, tiny_records):
         df, _ = tiny_records
@@ -70,6 +75,32 @@ class TestBuildBins:
         assert wide <= narrow
 
 
+def _totals(df):
+    return histories.corpus_stats(df, df, level=12, window_sec=900).e
+
+
+class TestCorpusStats:
+    def test_totals_and_span(self, tiny_records):
+        df, pdf = tiny_records
+        stats = histories.corpus_stats(df, df.where("entity < 3"), level=12, window_sec=900, query_sec=3600)
+        bins = histories.build_bins(df, level=12, window_sec=900)
+        assert stats.e == histories.SideTotals(pdf["entity"].nunique(), bins.count())
+        assert stats.i == histories.SideTotals(3, bins.where("entity < 3").count())
+        assert stats.qw_span == (pdf["ts"].min() // 3600, pdf["ts"].max() // 3600)
+
+    def test_no_query_window_no_span(self, tiny_records):
+        df, _ = tiny_records
+        assert histories.corpus_stats(df, df, level=12, window_sec=900).qw_span is None
+
+    def test_empty_side(self, spark, tiny_records):
+        df, _ = tiny_records
+        none = spark.createDataFrame([], df.schema)
+        stats = histories.corpus_stats(none, none, level=12, window_sec=900, query_sec=3600)
+        assert stats == histories.CorpusStats(
+            histories.SideTotals(0, 0), histories.SideTotals(0, 0), qw_span=None
+        )
+
+
 class TestNormFactors:
     def test_oracle(self, tiny_records):
         df, pdf = tiny_records
@@ -78,7 +109,7 @@ class TestNormFactors:
         pdf2["window"] = pdf2["ts"] // 900
         pdf2["cell"] = cells.encode(pdf2["lat"].to_numpy(), pdf2["lon"].to_numpy(), 12)
         oracle.assert_equivalent(
-            histories.norm_factors(bins, b=0.5).select("entity", "L").distinct(),
+            histories.norm_factors(bins, _totals(df), b=0.5).select("entity", "L").distinct(),
             'WITH h AS (SELECT entity, count(*) AS n_bins FROM '
             '(SELECT DISTINCT entity, "window", cell FROM rec) GROUP BY entity) '
             "SELECT entity, 0.5 + 0.5 * n_bins / (SELECT avg(n_bins) FROM h) AS L FROM h",
@@ -88,7 +119,7 @@ class TestNormFactors:
     def test_b_zero_is_identity(self, tiny_records):
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
-        L = histories.norm_factors(bins, b=0.0).select("entity", "L").distinct().toPandas()
+        L = histories.norm_factors(bins, _totals(df), b=0.0).select("entity", "L").distinct().toPandas()
         assert np.allclose(L["L"], 1.0)
 
     def test_b_one_is_relative_size(self, tiny_records):
@@ -96,7 +127,7 @@ class TestNormFactors:
         bins = histories.build_bins(df, level=12, window_sec=900)
         sizes = bins.groupBy("entity").agg(F.count(F.lit(1)).alias("n_bins")).toPandas()
         L = (
-            histories.norm_factors(bins, b=1.0)
+            histories.norm_factors(bins, _totals(df), b=1.0)
             .select("entity", "L")
             .distinct()
             .toPandas()
@@ -110,7 +141,7 @@ class TestNormFactors:
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
         for b in (0.25, 0.5, 0.75):
-            L = histories.norm_factors(bins, b=b).select("entity", "L").distinct().toPandas()
+            L = histories.norm_factors(bins, _totals(df), b=b).select("entity", "L").distinct().toPandas()
             assert L["L"].mean() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
@@ -118,7 +149,7 @@ class TestNormFactors:
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
         with pytest.raises(ValueError):
-            histories.norm_factors(bins, b=bad)
+            histories.norm_factors(bins, histories.SideTotals(1, 1), b=bad)
 
 
 class TestIdf:
@@ -130,7 +161,7 @@ class TestIdf:
         pdf2["window"] = pdf2["ts"] // 900
         pdf2["cell"] = cells.encode(pdf2["lat"].to_numpy(), pdf2["lon"].to_numpy(), 12)
         oracle.assert_equivalent(
-            histories.idf(bins).select("window", "cell", "idf").distinct(),
+            histories.idf(bins, _totals(df)).select("window", "cell", "idf").distinct(),
             f'SELECT "window", cell, ln({n_u} / count(DISTINCT entity)) AS idf '
             'FROM rec GROUP BY "window", cell',
             rec=pdf2[["entity", "window", "cell"]],
@@ -140,7 +171,7 @@ class TestIdf:
         df, pdf = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
         n_u = pdf["entity"].nunique()
-        vals = histories.idf(bins).select("window", "cell", "idf").distinct().toPandas()["idf"]
+        vals = histories.idf(bins, _totals(df)).select("window", "cell", "idf").distinct().toPandas()["idf"]
         assert vals.max() <= math.log(n_u) + 1e-9
         assert vals.min() >= 0.0
 
@@ -149,8 +180,9 @@ class TestIdf:
         pdf = pd.DataFrame(
             {"entity": [0, 1, 2], "ts": [0, 1, 2], "lat": [0.0] * 3, "lon": [0.0] * 3}
         )
-        bins = histories.build_bins(spark.createDataFrame(pdf), level=12, window_sec=900)
-        vals = histories.idf(bins).select("window", "cell", "idf").distinct().toPandas()
+        df = spark.createDataFrame(pdf)
+        bins = histories.build_bins(df, level=12, window_sec=900)
+        vals = histories.idf(bins, _totals(df)).select("window", "cell", "idf").distinct().toPandas()
         assert len(vals) == 1 and vals["idf"].iloc[0] == pytest.approx(0.0)
 
 

@@ -7,7 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import oracle
-from repro.core import lsh
+from repro.core import histories, lsh
 from repro.grid import cells
 
 
@@ -156,11 +156,28 @@ class TestBandBuckets:
         assert bb["bucket"].between(0, 15).all()
 
 
+def _candidates(rec_e, rec_i, cfg):
+    """``lsh_candidates`` over 15-minute windows, with the records' span."""
+    stats = histories.corpus_stats(rec_e, rec_i, level=12, window_sec=900, query_sec=900 * cfg.step)
+    return lsh.lsh_candidates(rec_e, rec_i, window_sec=900, cfg=cfg, qw_span=stats.qw_span)
+
+
+class TestPlan:
+    def test_span_arithmetic(self):
+        p = lsh.plan((3, 8), cfg=lsh.LshConfig(threshold=0.6))
+        assert (p.signature_len, p.qw_min) == (6, 3)
+        assert p.n_bands == lsh.n_bands(6, 0.6)
+        assert p.rows_per_band == math.ceil(6 / p.n_bands)
+
+    def test_no_span_empty_plan(self):
+        assert lsh.plan(None, cfg=lsh.LshConfig()) == lsh.LshPlan(0, 0, 0, 0)
+
+
 class TestCandidates:
     def test_plan_and_candidates(self, cab_records):
         rec_e, rec_i = cab_records
         cfg = lsh.LshConfig(level=14, step=4, threshold=0.6, n_buckets=4096)
-        cand, plan = lsh.lsh_candidates(rec_e, rec_i, window_sec=900, cfg=cfg)
+        cand, plan = _candidates(rec_e, rec_i, cfg)
         cpdf = cand.toPandas()
         # 6 h of data, query window = 1 h ⇒ signature length 6
         assert plan.signature_len == 6
@@ -173,7 +190,7 @@ class TestCandidates:
     def test_no_records_empty_plan(self, spark, cab_records):
         rec_e, _ = cab_records
         none = spark.createDataFrame([], rec_e.schema)
-        cand, plan = lsh.lsh_candidates(none, none, window_sec=900, cfg=lsh.LshConfig())
+        cand, plan = _candidates(none, none, lsh.LshConfig())
         assert plan == lsh.LshPlan(signature_len=0, n_bands=0, rows_per_band=0, qw_min=0)
         assert cand.columns == ["u", "v"]
         assert cand.count() == 0
@@ -181,7 +198,7 @@ class TestCandidates:
     def test_candidates_subset_of_all_pairs(self, cab_records):
         rec_e, rec_i = cab_records
         cfg = lsh.LshConfig(level=14, step=4)
-        cand, _ = lsh.lsh_candidates(rec_e, rec_i, window_sec=900, cfg=cfg)
+        cand, _ = _candidates(rec_e, rec_i, cfg)
         ue = {r[0] for r in rec_e.select("entity").distinct().collect()}
         ui = {r[0] for r in rec_i.select("entity").distinct().collect()}
         cpdf = cand.toPandas()
@@ -194,7 +211,7 @@ class TestCandidates:
         # permissive threshold
         rec_e, rec_i = cab_records
         cfg = lsh.LshConfig(level=12, step=4, threshold=0.4)
-        cand, _ = lsh.lsh_candidates(rec_e, rec_i, window_sec=900, cfg=cfg)
+        cand, _ = _candidates(rec_e, rec_i, cfg)
         got = set(map(tuple, cand.toPandas()[["u", "v"]].to_numpy()))
         truth = set(map(tuple, cab_pair.truth[["u", "v"]].to_numpy()))
         recall = len(got & truth) / len(truth)
@@ -207,7 +224,7 @@ class TestCandidates:
         n = []
         for nb in (16, 4096):
             cfg = lsh.LshConfig(level=14, step=4, n_buckets=nb)
-            cand, _ = lsh.lsh_candidates(rec_e, rec_i, window_sec=900, cfg=cfg)
+            cand, _ = _candidates(rec_e, rec_i, cfg)
             n.append(cand.count())
         assert n[1] <= n[0]
 
@@ -216,7 +233,7 @@ class TestCandidates:
         counts = {}
         for t in (0.3, 0.9):
             cfg = lsh.LshConfig(level=14, step=2, threshold=t, n_buckets=1 << 20)
-            cand, plan = lsh.lsh_candidates(rec_e, rec_i, window_sec=900, cfg=cfg)
+            cand, plan = _candidates(rec_e, rec_i, cfg)
             counts[t] = cand.count()
         assert counts[0.3] >= counts[0.9]
 

@@ -1,4 +1,6 @@
 """Tests for the pairwise similarity scorer (Eq. 2 / Alg. 1)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -34,8 +36,16 @@ TIED_CELLS = [
 def _bins(spark, rows):
     """rows: (entity, window, cell) triples → bins DataFrame."""
     pdf = pd.DataFrame(rows, columns=["entity", "window", "cell"])
-    pdf["n_rec"] = 1
     return spark.createDataFrame(pdf.astype({"entity": "int64", "window": "int64", "cell": "int64"}))
+
+
+def _totals(rows):
+    """The side totals of a list of distinct (entity, window, cell) bins."""
+    return histories.SideTotals(n_entities=len({r[0] for r in rows}), n_bins=len(rows))
+
+
+def _stats(e_rows, i_rows):
+    return histories.CorpusStats(e=_totals(e_rows), i=_totals(i_rows), qw_span=None)
 
 
 def _cand(spark, pairs):
@@ -49,6 +59,7 @@ def _score(spark, e_rows, i_rows, pairs, **kw):
         _bins(spark, e_rows),
         _bins(spark, i_rows),
         _cand(spark, pairs),
+        stats=_stats(e_rows, i_rows),
         level=LEVEL,
         window_sec=WINDOW_SEC,
         **kw,
@@ -155,13 +166,13 @@ class TestGreedySelect:
         ]
 
 
-@st.composite
-def tied_group(draw):
-    """One (u, v) kernel group over heavily tied grid distances.
+def _tied_rows(draw):
+    """Bin pairs of one (u, v) over heavily tied grid distances.
 
-    Returns the within-window cross product of both entities' bins
-    (the rows ``pair_scores`` feeds the kernel) and a row permutation.
-    idf is a property of a bin, so each bin draws it once.
+    The within-window cross product of both entities' bins, as
+    ``pair_scores`` feeds the kernel: ``(window, cell_e, cell_i,
+    idf_e, idf_i)``. idf is a property of a bin, so each bin draws it
+    once.
     """
     rows = []
     for w in range(draw(st.integers(1, 3))):
@@ -170,8 +181,84 @@ def tied_group(draw):
         idf_e = {c: draw(idf) for c in draw(side)}
         idf_i = {c: draw(idf) for c in draw(side)}
         rows += [(w, ce, ci, idf_e[ce], idf_i[ci]) for ce in idf_e for ci in idf_i]
-    pdf = pd.DataFrame(rows, columns=["window", "cell_e", "cell_i", "idf_e", "idf_i"])
+    return rows
+
+
+GROUP_COLUMNS = ["u", "v", "window", "cell_e", "cell_i", "idf_e", "idf_i", "L_u", "L_v"]
+
+
+@st.composite
+def tied_group(draw):
+    """One (u, v) pair's bin pairs and a row permutation."""
+    rows = [(0, 10, *r, 1.0, 1.0) for r in _tied_rows(draw)]
+    pdf = pd.DataFrame(rows, columns=GROUP_COLUMNS)
     return pdf, draw(st.permutations(range(len(pdf))))
+
+
+@st.composite
+def tied_partition(draw):
+    """Several (u, v) pairs' bin pairs, interleaved and cut into batches.
+
+    Entities share their length factor across pairs, as ``L_u`` is per
+    entity; the batches split pairs and windows at random rows.
+    """
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(10, 12)), min_size=1, max_size=4, unique=True)
+    )
+    length = st.sampled_from([0.5, 1.0, 1.5])
+    L = {x: draw(length) for pair in pairs for x in pair}
+    rows = [(u, v, *r, L[u], L[v]) for u, v in pairs for r in _tied_rows(draw)]
+    pdf = pd.DataFrame(rows, columns=GROUP_COLUMNS)
+    pdf = pdf.iloc[draw(st.permutations(range(len(pdf))))].reset_index(drop=True)
+    cuts = sorted(draw(st.lists(st.integers(0, len(pdf)), max_size=4)))
+    bounds = [0, *cuts, len(pdf)]
+    return [pdf.iloc[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _reference_pair(pdf, *, pairing, use_mfn, use_idf, use_norm):
+    """Alg. 1 for one (u, v), one window and one pick at a time."""
+    d = cells.min_distance_m(pdf["cell_e"].to_numpy(), pdf["cell_i"].to_numpy(), LEVEL)
+    p = prox(d, RUNAWAY)
+    w = np.minimum(pdf["idf_e"], pdf["idf_i"]).to_numpy() if use_idf else np.ones(len(pdf))
+    alibi = d > RUNAWAY
+
+    def greedy(sign):
+        picked = set()
+        for win in set(pdf["window"]):
+            rows = [j for j in range(len(pdf)) if pdf["window"].iat[j] == win]
+            rows.sort(key=lambda j: (sign * d[j], pdf["cell_e"].iat[j], pdf["cell_i"].iat[j]))
+            used_e, used_i = set(), set()
+            for j in rows:
+                ce, ci = pdf["cell_e"].iat[j], pdf["cell_i"].iat[j]
+                if ce not in used_e and ci not in used_i:
+                    picked.add(j)
+                    used_e.add(ce)
+                    used_i.add(ci)
+        return picked
+
+    if pairing == "all":
+        included = set(range(len(pdf)))
+    else:
+        mnn = greedy(1)
+        included = mnn | {j for j in greedy(-1) if alibi[j]} if use_mfn else mnn
+    score = math.fsum(p[j] * w[j] for j in included)
+    if use_norm:
+        score = score / (pdf["L_u"].iat[0] * pdf["L_v"].iat[0])
+    return score, len(included), sum(bool(alibi[j]) for j in included), len(pdf)
+
+
+def _kernel(batches, **switches):
+    kernel = similarity._make_kernel(level=LEVEL, runaway_m=RUNAWAY, **switches)
+    return pd.concat(list(kernel(iter(batches))), ignore_index=True)
+
+
+SWITCHES = [
+    dict(pairing=pairing, use_mfn=mfn, use_idf=idf, use_norm=norm)
+    for pairing in ("mnn", "all")
+    for mfn in (False, True)
+    for idf in (False, True)
+    for norm in (False, True)
+]
 
 
 class TestKernelRowOrder:
@@ -181,20 +268,33 @@ class TestKernelRowOrder:
         pdf, perm = group
         shuffled = pdf.iloc[perm].reset_index(drop=True)
         for use_mfn in (False, True):
-            kernel = similarity._make_kernel(
-                level=LEVEL,
-                runaway_m=RUNAWAY,
-                pairing="mnn",
-                use_mfn=use_mfn,
-                use_idf=True,
-                use_norm=False,
-            )
-            a = kernel((0, 10), pdf).iloc[0]
-            b = kernel((0, 10), shuffled).iloc[0]
+            switches = dict(pairing="mnn", use_mfn=use_mfn, use_idf=True, use_norm=False)
+            a = _kernel([pdf], **switches).iloc[0]
+            b = _kernel([shuffled], **switches).iloc[0]
             assert b["n_pairs"] == a["n_pairs"]
             assert b["n_alibi"] == a["n_alibi"]
             # the same pairs are summed, and fsum rounds exactly
             assert b["score"] == a["score"]
+
+
+class TestKernelOracle:
+    """One call over a whole partition equals scoring each pair alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_partition())
+    def test_partition_equals_per_pair_reference(self, batches):
+        pdf = pd.concat(batches, ignore_index=True)
+        for switches in SWITCHES:
+            got = _kernel(batches, **switches).set_index(["u", "v"])
+            assert got.index.is_unique
+            assert len(got) == len(pdf.groupby(["u", "v"]))
+            for (u, v), rows in pdf.groupby(["u", "v"]):
+                want = _reference_pair(rows.reset_index(drop=True), **switches)
+                row = got.loc[(u, v)]
+                assert (row["score"], row["n_pairs"], row["n_alibi"], row["n_comp"]) == want, switches
+
+    def test_no_rows_no_output(self):
+        assert list(similarity._make_kernel(level=LEVEL, runaway_m=RUNAWAY, **SWITCHES[0])(iter([]))) == []
 
 
 class TestPairScores:
@@ -300,7 +400,7 @@ class TestPairScores:
         out = _score(spark, e_rows, i_rows, [(0, 10)], use_norm=True, b=1.0)
         bins_e = _bins(spark, e_rows)
         L = (
-            histories.norm_factors(bins_e, b=1.0)
+            histories.norm_factors(bins_e, _totals(e_rows), b=1.0)
             .select("entity", "L")
             .distinct()
             .toPandas()
@@ -313,11 +413,12 @@ class TestPairScores:
     def test_self_similarity_is_max(self, spark, cab_records):
         # an entity is at least as similar to itself as to anyone else
         rec_e, _ = cab_records
+        stats = histories.corpus_stats(rec_e, rec_e, level=LEVEL, window_sec=WINDOW_SEC)
         bins = histories.build_bins(rec_e, level=LEVEL, window_sec=WINDOW_SEC).cache()
         ents = sorted(r[0] for r in bins.select("entity").distinct().collect())[:4]
         pairs = [(u, v) for u in ents for v in ents]
         out = similarity.pair_scores(
-            bins, bins, _cand(spark, pairs), level=LEVEL, window_sec=WINDOW_SEC
+            bins, bins, _cand(spark, pairs), stats=stats, level=LEVEL, window_sec=WINDOW_SEC
         ).toPandas()
         piv = out.set_index(["u", "v"])["score"]
         for u in ents:

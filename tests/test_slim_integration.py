@@ -2,8 +2,9 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
-from repro.core import metrics
+from repro.core import histories, metrics
 from repro.core.lsh import LshConfig
 from repro.core.slim import SlimConfig, run_slim
 
@@ -168,44 +169,155 @@ class TestEmptySides:
 
 
 @pytest.fixture(scope="module")
-def cab_reference(cab_bf, cab_lsh):
+def sm_runs(sm_records):
+    rec_e, rec_i = sm_records
+    return {mode: run_slim(rec_e, rec_i, MODES[mode]) for mode in sorted(MODES)}
+
+
+@pytest.fixture(scope="module")
+def references(cab_bf, cab_lsh, sm_runs):
     """The runs at the session's settings: what every layout must give."""
-    return {"bf": cab_bf, "lsh": cab_lsh}
+    return {("cab", "bf"): cab_bf, ("cab", "lsh"): cab_lsh, **{("sm", m): r for m, r in sm_runs.items()}}
+
+
+def _assert_same(got, ref):
+    pd.testing.assert_frame_equal(_sorted(got.scores), _sorted(ref.scores), check_exact=True)
+    pd.testing.assert_frame_equal(_sorted(got.links), _sorted(ref.links), check_exact=True)
 
 
 class TestPartitionInvariance:
     """Scores and links depend on the records, not on how Spark lays them out."""
 
-    def _assert_same(self, got, ref):
-        pd.testing.assert_frame_equal(_sorted(got.scores), _sorted(ref.scores), check_exact=True)
-        pd.testing.assert_frame_equal(_sorted(got.links), _sorted(ref.links), check_exact=True)
-
     @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("n", [3, 5])
-    def test_input_repartition(self, cab_records, cab_reference, mode, n):
+    def test_input_repartition(self, cab_records, references, mode, n):
         rec_e, rec_i = cab_records
         got = run_slim(rec_e.repartition(n), rec_i.repartition(n), MODES[mode])
-        self._assert_same(got, cab_reference[mode])
+        _assert_same(got, references["cab", mode])
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("n", [1, 7, 64])
-    def test_shuffle_partitions(self, spark, cab_records, cab_reference, mode, n):
-        rec_e, rec_i = cab_records
+    def test_shuffle_partitions(self, spark, cab_records, sm_records, references, mode, n):
+        # the shuffle partitions are also the scoring kernel's buckets
         key = "spark.sql.shuffle.partitions"
         before = spark.conf.get(key)
         spark.conf.set(key, str(n))
         try:
-            got = run_slim(rec_e, rec_i, MODES[mode])
+            got = {
+                dataset: run_slim(*records, MODES[mode])
+                for dataset, records in (("cab", cab_records), ("sm", sm_records))
+            }
         finally:
             spark.conf.set(key, before)
-        self._assert_same(got, cab_reference[mode])
+        for dataset, res in got.items():
+            _assert_same(res, references[dataset, mode])
 
 
-# Spark jobs of one warm run_slim call on the Cab test instance. Each
-# side's statistics take one pass and nothing but the LSH plan's collect
-# and the candidate count runs as its own action; a re-added eager
-# action or post-kernel join raises the count.
-JOB_BUDGET = {"lsh": 28, "bf": 22}
+def _swapped(df: pd.DataFrame) -> pd.DataFrame:
+    """``df`` with its u and v columns exchanged."""
+    return df.rename(columns={"u": "v", "v": "u"})[list(df.columns)]
+
+
+class TestSwapSides:
+    """Linking I to E gives every pair the row that linking E to I gives it."""
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("dataset", ["cab", "sm"])
+    def test_swap(self, cab_records, sm_records, references, dataset, mode):
+        rec_e, rec_i = {"cab": cab_records, "sm": sm_records}[dataset]
+        ref = references[dataset, mode]
+        got = run_slim(rec_i, rec_e, MODES[mode])
+        assert len(ref.scores) > 0
+        pd.testing.assert_frame_equal(_sorted(_swapped(got.scores)), _sorted(ref.scores), check_exact=True)
+        pd.testing.assert_frame_equal(_sorted(_swapped(got.links)), _sorted(ref.links), check_exact=True)
+        assert got.threshold.threshold == ref.threshold.threshold
+        assert (got.n_candidates, got.n_comparisons, got.n_alibi_pairs) == (
+            ref.n_candidates,
+            ref.n_comparisons,
+            ref.n_alibi_pairs,
+        )
+
+
+class TestDegenerateInstances:
+    def test_zero_lsh_candidates(self, cab_records):
+        # the I side 20° north shares no dominating cell with E
+        rec_e, rec_i = cab_records
+        res = run_slim(rec_e, rec_i.withColumn("lat", F.col("lat") + 20.0), CAB_LSH)
+        assert res.lsh_plan.signature_len >= 1
+        assert res.n_candidates == 0
+        assert res.scores.empty and res.matched.empty and res.links.empty
+        assert (res.n_comparisons, res.n_alibi_pairs) == (0, 0)
+        assert res.threshold.threshold == -np.inf
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_single_window(self, cab_records, mode):
+        # every record in the first 15-minute window of the instance
+        rec_e, rec_i = cab_records
+        t0 = rec_e.unionAll(rec_i).agg(F.min("ts")).collect()[0][0] // 900 * 900
+        one_e, one_i = (r.where(F.col("ts") < t0 + 900) for r in (rec_e, rec_i))
+        res = run_slim(one_e, one_i, MODES[mode])
+        bins_e, bins_i = (histories.build_bins(r, level=12, window_sec=900) for r in (one_e, one_i))
+        if mode == "lsh":
+            assert res.lsh_plan.signature_len == 1
+        else:
+            n_e, n_i = (b.select("entity").distinct().count() for b in (bins_e, bins_i))
+            assert res.n_candidates == n_e * n_i
+            assert res.n_comparisons == histories.comparison_count_all_pairs(bins_e, bins_i)
+        assert len(res.scores) == res.n_candidates
+        assert res.links["u"].is_unique and res.links["v"].is_unique
+        assert (res.links["score"] > res.threshold.threshold).all()
+
+
+class TestInputContract:
+    """run_slim rejects records it cannot bin, with a clear error."""
+
+    @pytest.fixture(scope="class")
+    def few(self, spark, small_cab_pair):
+        return small_cab_pair.e_records.head(20), small_cab_pair.i_records.head(20)
+
+    def test_float_ts_rejected_without_a_job(self, spark, few):
+        e, i = (spark.createDataFrame(pdf) for pdf in few)
+        sc = spark.sparkContext
+        group = "test-input-contract"
+        sc.setJobGroup(group, group)
+        try:
+            with pytest.raises(ValueError, match="records_i: ts must have an integer type"):
+                run_slim(e, i.withColumn("ts", F.col("ts").cast("double")), SlimConfig(use_lsh=False))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("entity", None, "a null entity, ts, lat or lon"),
+            ("ts", None, "a null entity, ts, lat or lon"),
+            ("lat", None, "a null entity, ts, lat or lon"),
+            ("lon", None, "a null entity, ts, lat or lon"),
+            ("lat", 90.5, r"a lat outside \[-90, 90\]"),
+            ("lat", -91.0, r"a lat outside \[-90, 90\]"),
+            ("lat", float("nan"), r"a lat outside \[-90, 90\]"),
+            ("lon", 180.5, r"a lon outside \[-180, 180\]"),
+            ("lon", -181.0, r"a lon outside \[-180, 180\]"),
+        ],
+    )
+    @pytest.mark.parametrize("side", ["e", "i"])
+    def test_bad_record_rejected(self, spark, few, side, column, value, message):
+        recs = {s: spark.createDataFrame(pdf) for s, pdf in zip("ei", few)}
+        row = few["ei".index(side)].iloc[3]
+        hit = (F.col("entity") == int(row["entity"])) & (F.col("ts") == int(row["ts"]))
+        bad = F.lit(value).cast(recs[side].schema[column].dataType)
+        recs[side] = recs[side].withColumn(column, F.when(hit, bad).otherwise(F.col(column)))
+        with pytest.raises(ValueError, match=f"1 records_{side} rows have {message}"):
+            run_slim(recs["e"], recs["i"], SlimConfig(use_lsh=False))
+
+
+# Spark jobs of one warm run_slim call on the Cab test instance,
+# measured with 1, 2 and 4 cores. One aggregate collects the corpus
+# statistics (the LSH span, |U| and the bin totals), the candidate
+# count is the only other action before the scores are collected; a
+# re-added eager action, crossJoin or post-kernel join raises the count.
+JOB_BUDGET = {"lsh": 20, "bf": 18}
 
 
 class TestJobBudget:
