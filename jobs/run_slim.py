@@ -14,8 +14,8 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     ap.add_argument("--dataset", choices=["cab", "sm"], default="cab")
     ap.add_argument("--scale", choices=["test", "bench"], default="test")
-    ap.add_argument("--level", type=int, default=12)
-    ap.add_argument("--window-min", type=float, default=15.0)
+    ap.add_argument("--level", type=int, default=SlimConfig.level)
+    ap.add_argument("--window-min", type=float, default=SlimConfig.window_min)
     ap.add_argument("--no-lsh", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
     ns = ap.parse_args()

@@ -15,13 +15,13 @@ slot × grid cell); ``score(u, v)`` is the total log-likelihood of v's
 records under u's model. The whole score table is the dense
 |U_E| × |U_I| relation — computed as DataFrames, with the sparse
 matched part via a (slot, cell) join and the smoothing mass in closed
-form. Final linkage applies SLIM's matching + GMM stop threshold over
-GM scores, exactly as the paper does ("we apply our linkage and stop
-threshold algorithm over their similarity scores").
+form. Final linkage is SLIM's own link step over GM scores
+(:func:`repro.core.slim.link`: matching, then the GMM stop threshold),
+exactly as the paper does ("we apply our linkage and stop threshold
+algorithm over their similarity scores").
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -29,7 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core import gmm, matching
+from repro.core import gmm, slim
 from repro.grid import cells
 
 
@@ -38,6 +38,11 @@ class GmConfig:
     level: int = 12
     n_slots: int = 8  # time-of-day slots (3 h each)
     smoothing: float = 0.5  # Laplace λ
+
+    def __post_init__(self) -> None:
+        # equal slots cover a day exactly; otherwise _slot_cell adds a short one
+        if 86_400 % self.n_slots:
+            raise ValueError("n_slots must divide 86400")
 
 
 @dataclass
@@ -101,29 +106,15 @@ def run_gm(records_e: DataFrame, records_i: DataFrame, cfg: GmConfig) -> GmResul
     n_i_rec = records_i.count()
     n_comparisons = int(n_e * n_i_rec)
 
-    edges = scores[["u", "v", "score"]]
-    full = matching.greedy_match(edges)
     # log-likelihoods are ≤ 0; the GMM threshold machinery is scale-free
     # so it applies directly
-    threshold = gmm.select_stop_threshold(full["score"].to_numpy())
-    links = full[full["score"] > threshold.threshold].reset_index(drop=True)
+    matched, threshold, links = slim.link(scores)
     return GmResult(
         links=links,
-        matched=full,
+        matched=matched,
         scores=scores,
         threshold=threshold,
         n_comparisons=n_comparisons,
         runtime_sec=time.monotonic() - t0,
     )
 
-
-def expected_slot_count(n_slots: int) -> int:
-    """Sanity helper: slots cover a day exactly."""
-    if 86_400 % n_slots:
-        raise ValueError("n_slots must divide 86400")
-    return 86_400 // n_slots
-
-
-def log_likelihood_floor(cfg: GmConfig, vocab: int, tot_u: int) -> float:
-    """Per-record log-likelihood when nothing matches (for tests)."""
-    return math.log(cfg.smoothing) - math.log(tot_u + cfg.smoothing * vocab)

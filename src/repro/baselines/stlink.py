@@ -96,16 +96,9 @@ def run_stlink(
     )
 
     # comparison cost: all within-window record pairs (no pruning)
-    we = records_e.groupBy(
-        F.floor(F.col("ts") / cfg.window_sec).alias("window")
-    ).agg(F.count(F.lit(1)).alias("ne"))
-    wi = records_i.groupBy(
-        F.floor(F.col("ts") / cfg.window_sec).alias("window")
-    ).agg(F.count(F.lit(1)).alias("ni"))
-    n_comp_row = (
-        we.join(wi, "window").agg(F.sum(F.col("ne") * F.col("ni")).alias("t")).collect()[0]
+    n_comparisons = histories.comparison_count_all_pairs(
+        *(r.withColumn("window", F.floor(F.col("ts") / cfg.window_sec)) for r in (records_e, records_i))
     )
-    n_comparisons = int(n_comp_row["t"] or 0)
 
     # co-occurrences: shared (window, cell) bins
     co = (

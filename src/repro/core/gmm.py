@@ -63,9 +63,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return sign * (1.0 - poly * np.exp(-a * a))
 
 
-def fit_gmm_1d(
-    x: np.ndarray, *, max_iter: int = 200, tol: float = 1e-8, seed: int = 0
-) -> Gmm1D:
+def fit_gmm_1d(x: np.ndarray, *, max_iter: int = 200, tol: float = 1e-8) -> Gmm1D:
     """EM fit of a 2-component 1-D GMM, initialized by a median split."""
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2:

@@ -191,7 +191,9 @@ def comparison_count_all_pairs(bins_e: DataFrame, bins_i: DataFrame) -> int:
     """Total bin-pair comparisons for brute-force (all entity pairs).
 
     ``Σ_w (Σ_u n_bins_w(u)) · (Σ_v n_bins_w(v))`` — a cheap closed form
-    that avoids materializing the cross join.
+    that avoids materializing the cross join. Any two relations with a
+    ``window`` column work: on records it counts ST-Link's
+    within-window record pairs.
     """
     we = bins_e.groupBy("window").agg(F.count(F.lit(1)).alias("ne"))
     wi = bins_i.groupBy("window").agg(F.count(F.lit(1)).alias("ni"))

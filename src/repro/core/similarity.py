@@ -9,7 +9,10 @@ mutually-nearest-neighbour (MNN) selection, an optional mutually-
 furthest-neighbour (MFN) pass adds alibi (negative-proximity) pairs,
 ``idf`` awards bin uniqueness and ``L`` is BM25-style length
 normalization. Ablation switches reproduce the paper's Fig. 10
-variants: all-pairs pairing, MNN-only, no-idf, no-normalization.
+variants: all-pairs pairing, MNN-only, no-idf, no-normalization. The
+level, window, α, b and the switches are read from one
+:class:`~repro.core.slim.SlimConfig`, so a linkage and the level probe
+of :mod:`repro.core.tuning` score with the same parameters.
 
 Dataflow: one aggregate over both sides' records
 (:func:`repro.core.histories.corpus_stats`) gives each side's |U| and
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 import pandas as pd
@@ -42,6 +45,9 @@ from pyspark.sql import functions as F
 
 from repro.core import histories, proximity
 from repro.grid import cells
+
+if TYPE_CHECKING:  # slim imports this module
+    from repro.core.slim import SlimConfig
 
 _KERNEL_SCHEMA = (
     "u long, v long, score double, n_pairs long, n_alibi long, n_comp long"
@@ -199,34 +205,28 @@ def pair_scores(
     candidates: DataFrame,
     *,
     stats: histories.CorpusStats,
-    level: int,
-    window_sec: int,
-    alpha_m_per_sec: float = proximity.DEFAULT_ALPHA_M_PER_SEC,
-    b: float = 0.5,
-    pairing: Pairing = "mnn",
-    use_mfn: bool = True,
-    use_idf: bool = True,
-    use_norm: bool = True,
+    cfg: SlimConfig,
 ) -> DataFrame:
     """Score every candidate pair (Eq. 2 over Alg. 1's pairing).
 
     ``stats`` holds both sides' totals for idf and L
-    (:func:`repro.core.histories.corpus_stats`). Returns
+    (:func:`repro.core.histories.corpus_stats`); the level, window, α,
+    b and ablation switches are ``cfg``'s. Returns
     ``(u, v, score, n_pairs, n_alibi, n_comp)`` with one row per
     candidate pair that shares at least one temporal window (others
     have score 0 and are irrelevant to the bipartite graph).
     ``n_comp`` is the paper's pairwise-comparison cost metric;
     ``n_alibi`` counts included alibi bin pairs.
     """
-    runaway = proximity.runaway_distance_m(window_sec, alpha_m_per_sec)
+    runaway = proximity.runaway_distance_m(cfg.window_sec, cfg.alpha_m_per_sec)
 
     def side(bins: DataFrame, totals: histories.SideTotals, entity: str, cell: str, idf: str, L: str) -> DataFrame:
         cols = [F.col("entity").alias(entity), "window", F.col("cell").alias(cell)]
         # the entity window first: it reuses build_bins' partitioning
-        if use_norm:
-            bins = histories.norm_factors(bins, totals, b=b)
+        if cfg.use_norm:
+            bins = histories.norm_factors(bins, totals, b=cfg.b)
             cols.append(F.col("L").alias(L))
-        if use_idf:
+        if cfg.use_idf:
             bins = histories.idf(bins, totals)
             cols.append(F.col("idf").alias(idf))
         return bins.select(*cols)
@@ -235,12 +235,12 @@ def pair_scores(
     ibins = side(bins_i, stats.i, "v", "cell_i", "idf_i", "L_v")
     joined = candidates.join(ebins, "u").join(ibins, ["v", "window"])
     kernel = _make_kernel(
-        level=level,
+        level=cfg.level,
         runaway_m=runaway,
-        pairing=pairing,
-        use_mfn=use_mfn,
-        use_idf=use_idf,
-        use_norm=use_norm,
+        pairing=cfg.pairing,
+        use_mfn=cfg.use_mfn,
+        use_idf=cfg.use_idf,
+        use_norm=cfg.use_norm,
     )
     # hash partitioning keeps each pair in one partition; adaptive
     # execution may merge partitions but never splits one

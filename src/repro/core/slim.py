@@ -7,10 +7,9 @@
    pairs,
 3. distributed pairwise similarity scoring
    (``repro.core.similarity``),
-4. driver-side greedy maximum-weight bipartite matching
-   (``repro.core.matching``),
-5. GMM stop-threshold selection and final filtering
-   (``repro.core.gmm``).
+4. :func:`link`: driver-side greedy maximum-weight bipartite
+   matching (``repro.core.matching``), then GMM stop-threshold
+   selection and final filtering (``repro.core.gmm``).
 
 The result carries the paper's own instrumentation: number of
 candidate pairs, pairwise bin comparisons performed (the scalability
@@ -30,7 +29,11 @@ from repro.core.lsh import LshConfig, LshPlan, lsh_candidates
 
 @dataclass(frozen=True)
 class SlimConfig:
-    """All knobs of one SLIM run (paper defaults, Sec 5.1)."""
+    """All knobs of one SLIM run (paper defaults, Sec 5.1).
+
+    The scorer (:func:`repro.core.similarity.pair_scores`) and the level
+    probe (:mod:`repro.core.tuning`) read their parameters from here.
+    """
 
     level: int = 12
     window_min: float = 15.0
@@ -63,6 +66,20 @@ class SlimResult:
     lsh_plan: LshPlan | None
 
 
+def link(edges: pd.DataFrame) -> tuple[pd.DataFrame, gmm.StopThreshold, pd.DataFrame]:
+    """The final linkage of scored ``(u, v, score)`` edges (Sec 3.2).
+
+    Greedy one-to-one matching, then the GMM stop threshold over the
+    matched scores; returns ``(matched, threshold, links)``, where
+    ``links`` are the matched edges scoring above the threshold. GM's
+    scores go through the same step (Sec 5.5).
+    """
+    matched = matching.greedy_match(edges)
+    threshold = gmm.select_stop_threshold(matched["score"].to_numpy())
+    links = matched[matched["score"] > threshold.threshold].reset_index(drop=True)
+    return matched, threshold, links
+
+
 def run_slim(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> SlimResult:
     """Link two location datasets; see module docstring for stages.
 
@@ -91,20 +108,7 @@ def run_slim(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> Sli
     if stats.e.n_entities and stats.i.n_entities:
         candidates = candidates.cache()
         n_candidates = candidates.count()
-        scored = similarity.pair_scores(
-            bins_e,
-            bins_i,
-            candidates,
-            stats=stats,
-            level=cfg.level,
-            window_sec=cfg.window_sec,
-            alpha_m_per_sec=cfg.alpha_m_per_sec,
-            b=cfg.b,
-            pairing=cfg.pairing,
-            use_mfn=cfg.use_mfn,
-            use_idf=cfg.use_idf,
-            use_norm=cfg.use_norm,
-        ).toPandas()
+        scored = similarity.pair_scores(bins_e, bins_i, candidates, stats=stats, cfg=cfg).toPandas()
         candidates.unpersist()
     else:  # an empty side links nothing
         n_candidates = 0
@@ -114,11 +118,7 @@ def run_slim(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> Sli
     n_alibi_pairs = int((scored["n_alibi"] > 0).sum())
 
     # positive-score edges form the bipartite graph (Sec 3.1 end)
-    edges = scored[scored["score"] > 0][["u", "v", "score"]]
-    matched = matching.greedy_match(edges)
-
-    threshold = gmm.select_stop_threshold(matched["score"].to_numpy())
-    links = matched[matched["score"] > threshold.threshold].reset_index(drop=True)
+    matched, threshold, links = link(scored[scored["score"] > 0][["u", "v", "score"]])
     runtime = time.monotonic() - t0
     return SlimResult(
         links=links,

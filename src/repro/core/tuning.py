@@ -11,13 +11,19 @@ as detail is added, flattening once added detail stops helping. The
 selected level is the elbow of that curve (Satopää et al.'s "kneedle",
 re-implemented here since no such package ships offline). Doing this
 independently per dataset, the *higher* elbow is used for linkage.
+The probe scores with the linkage's own :class:`~repro.core.slim.SlimConfig`
+at each candidate level, so the level is tuned for the scorer that will
+use it.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.core import histories, proximity, similarity
+from repro.core import histories, similarity
+from repro.core.slim import SlimConfig
 
 
 def kneedle(
@@ -52,10 +58,8 @@ def kneedle(
 
 def self_similarity_ratio(
     records: DataFrame,
+    cfg: SlimConfig,
     *,
-    level: int,
-    window_sec: int,
-    alpha_m_per_sec: float = proximity.DEFAULT_ALPHA_M_PER_SEC,
     n_probe: int = 6,
     n_others: int = 12,
     seed: int = 0,
@@ -63,29 +67,22 @@ def self_similarity_ratio(
     """Average S(u, v) / S(u, u) over sampled probe entities.
 
     ``n_probe`` entities are crossed with ``n_others`` entities of the
-    same dataset (plus themselves for the denominator). Normalization
-    and idf are evaluated with the full dataset statistics.
+    same dataset (plus themselves for the denominator) and scored under
+    ``cfg``. Normalization and idf are evaluated with the full dataset
+    statistics.
     """
     ents = [r["entity"] for r in records.select("entity").distinct().collect()]
     rng = np.random.default_rng(seed)
     probes = rng.choice(ents, size=min(n_probe, len(ents)), replace=False)
     others = rng.choice(ents, size=min(n_others, len(ents)), replace=False)
     spark = records.sparkSession
-    stats = histories.corpus_stats(records, records, level=level, window_sec=window_sec)
-    bins = histories.build_bins(records, level=level, window_sec=window_sec)
+    stats = histories.corpus_stats(records, records, level=cfg.level, window_sec=cfg.window_sec)
+    bins = histories.build_bins(records, level=cfg.level, window_sec=cfg.window_sec)
     cand = spark.createDataFrame(
         [(int(u), int(v)) for u in probes for v in set(others) | set(probes)],
         schema="u long, v long",
     )
-    scored = similarity.pair_scores(
-        bins,
-        bins,
-        cand,
-        stats=stats,
-        level=level,
-        window_sec=window_sec,
-        alpha_m_per_sec=alpha_m_per_sec,
-    ).toPandas()
+    scored = similarity.pair_scores(bins, bins, cand, stats=stats, cfg=cfg).toPandas()
     ratios = []
     for u in probes:
         rows = scored[scored["u"] == u]
@@ -105,30 +102,21 @@ def select_spatial_level(
     records_i: DataFrame,
     *,
     levels: list[int],
-    window_sec: int,
-    alpha_m_per_sec: float = proximity.DEFAULT_ALPHA_M_PER_SEC,
+    cfg: SlimConfig,
     seed: int = 0,
 ) -> tuple[int, dict[int, float], dict[int, float]]:
-    """Auto-tune the spatial level for a given temporal window.
+    """Auto-tune the spatial level of ``cfg``'s linkage.
 
     Runs the self-similarity-ratio probe per level on each dataset,
-    finds each dataset's elbow with :func:`kneedle`, and returns the
-    *higher* of the two (paper Sec 3.3), along with both ratio curves.
+    with ``cfg`` at that level, finds each dataset's elbow with
+    :func:`kneedle`, and returns the *higher* of the two (paper Sec 3.3),
+    along with both ratio curves.
     """
     levels = sorted(levels)
     curves: list[dict[int, float]] = []
     elbows: list[int] = []
     for rec in (records_e, records_i):
-        curve = {
-            lv: self_similarity_ratio(
-                rec,
-                level=lv,
-                window_sec=window_sec,
-                alpha_m_per_sec=alpha_m_per_sec,
-                seed=seed,
-            )
-            for lv in levels
-        }
+        curve = {lv: self_similarity_ratio(rec, replace(cfg, level=lv), seed=seed) for lv in levels}
         curves.append(curve)
         elbows.append(
             int(

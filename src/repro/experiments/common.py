@@ -12,7 +12,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import metrics
-from repro.core.slim import SlimConfig, SlimResult, run_slim
+from repro.core.slim import SlimResult
 from repro.mobility import generator
 
 
@@ -44,6 +44,12 @@ def spark_pair(
     return rec_e.cache(), rec_i.cache()
 
 
+def avg_records(pair: generator.LinkagePair) -> float:
+    """Records per entity, averaged over the two sides, rounded to 0.1."""
+    sides = (pair.e_records, pair.i_records)
+    return round(sum(r.groupby("entity").size().mean() for r in sides) / 2.0, 1)
+
+
 def prf_cols(links: pd.DataFrame, pair: generator.LinkagePair) -> dict:
     """Rounded precision, recall and F1 of ``links`` against the truth."""
     prf = metrics.evaluate_links(links, pair.truth)
@@ -69,16 +75,6 @@ def slim_row(
         "candidates": res.n_candidates,
         "runtime_sec": round(res.runtime_sec, 2),
     }
-
-
-def run_slim_row(
-    rec_e: DataFrame,
-    rec_i: DataFrame,
-    pair: generator.LinkagePair,
-    cfg: SlimConfig,
-    **tags,
-) -> dict:
-    return slim_row(run_slim(rec_e, rec_i, cfg), pair, **tags)
 
 
 def print_table(df: pd.DataFrame, title: str) -> pd.DataFrame:

@@ -8,9 +8,12 @@ SLIM (with and without LSH) vs ST-Link vs GM:
 * part (c/d): F1, runtime and pairwise comparison counts for two
   entity intersection ratios (0.3 / 0.7) at two densities.
 
-GM is only run in part (a/b) at lower densities (the paper excludes it
-from further experiments after establishing it is two orders of
-magnitude slower).
+GM is only run in part (a/b) (the paper excludes it from further
+experiments after establishing it is two orders of magnitude slower),
+and part (c/d) compares SLIM+LSH with ST-Link only. Each part runs just
+the linkers it reports, and every linker's row is built the same way:
+Hit-Precision@40 over its ``(u, v, score)`` ranking, P/R/F1 of its
+links, its comparison count and its runtime.
 """
 from __future__ import annotations
 
@@ -25,94 +28,47 @@ from repro.core.slim import SlimConfig, run_slim
 from repro.experiments import common
 
 DEFAULT_GRID = {
-    "test": {
-        "inclusion_probs": [0.5],
-        "density_ratios": [0.5],
-        "include_gm": True,
-        "lsh_step": 4,
-    },
+    "test": {"inclusion_probs": [0.5], "density_ratios": [0.5], "lsh_step": 4},
     "bench": {
         "inclusion_probs": [0.1, 0.25, 0.5, 0.75],
         "density_ratios": [0.3, 0.7],
-        "include_gm": True,
         "lsh_step": 24,
     },
 }
+
+# the linkers E8 reports, by row label; every result carries links,
+# scores, n_comparisons and runtime_sec
+LINKERS = {
+    "slim": lambda e, i, step: run_slim(e, i, SlimConfig(use_lsh=False)),
+    "slim_lsh": lambda e, i, step: run_slim(e, i, SlimConfig(lsh=LshConfig(step=step))),
+    "stlink": lambda e, i, step: run_stlink(e, i, StLinkConfig()),
+    "gm": lambda e, i, step: run_gm(e, i, GmConfig()),
+}
+INTERSECTION_ALGOS = ("slim_lsh", "stlink")
 
 
 def _run_all(
     spark: SparkSession,
     pair,
+    algos: tuple[str, ...],
     *,
-    include_gm: bool,
     lsh_step: int,
     **tags,
 ) -> list[dict]:
+    """One row per linker of ``algos``, in that order."""
     rec_e, rec_i = common.spark_pair(spark, pair)
     rows = []
-
-    bf = run_slim(rec_e, rec_i, SlimConfig(use_lsh=False))
-    hp_scores = bf.scores  # brute-force similarity ranking for Hit-Precision
-    rows.append(
-        {
-            **tags,
-            "algo": "slim",
-            "hit_prec_40": round(
-                metrics.hit_precision_at_k(hp_scores, pair.truth, 40), 4
-            ),
-            **common.prf_cols(bf.links, pair),
-            "comparisons": bf.n_comparisons,
-            "runtime_sec": round(bf.runtime_sec, 2),
-        }
-    )
-
-    lsh = run_slim(
-        rec_e,
-        rec_i,
-        SlimConfig(use_lsh=True, lsh=LshConfig(step=lsh_step, threshold=0.6, n_buckets=4096)),
-    )
-    rows.append(
-        {
-            **tags,
-            "algo": "slim_lsh",
-            "hit_prec_40": round(
-                metrics.hit_precision_at_k(lsh.scores, pair.truth, 40), 4
-            ),
-            **common.prf_cols(lsh.links, pair),
-            "comparisons": lsh.n_comparisons,
-            "runtime_sec": round(lsh.runtime_sec, 2),
-        }
-    )
-
-    st = run_stlink(rec_e, rec_i, StLinkConfig())
-    rows.append(
-        {
-            **tags,
-            "algo": "stlink",
-            "hit_prec_40": round(
-                metrics.hit_precision_at_k(
-                    st.scores[["u", "v", "score"]], pair.truth, 40
-                ),
-                4,
-            ),
-            **common.prf_cols(st.links, pair),
-            "comparisons": st.n_comparisons,
-            "runtime_sec": round(st.runtime_sec, 2),
-        }
-    )
-
-    if include_gm:
-        gm = run_gm(rec_e, rec_i, GmConfig())
+    for algo in algos:
+        res = LINKERS[algo](rec_e, rec_i, lsh_step)
+        hit_prec = metrics.hit_precision_at_k(res.scores[["u", "v", "score"]], pair.truth, 40)
         rows.append(
             {
                 **tags,
-                "algo": "gm",
-                "hit_prec_40": round(
-                    metrics.hit_precision_at_k(gm.scores, pair.truth, 40), 4
-                ),
-                **common.prf_cols(gm.links, pair),
-                "comparisons": gm.n_comparisons,
-                "runtime_sec": round(gm.runtime_sec, 2),
+                "algo": algo,
+                "hit_prec_40": round(hit_prec, 4),
+                **common.prf_cols(res.links, pair),
+                "comparisons": res.n_comparisons,
+                "runtime_sec": round(res.runtime_sec, 2),
             }
         )
     rec_e.unpersist()
@@ -136,41 +92,27 @@ def run(
     # part (a/b): density sweep at default intersection ratio
     for p in inclusion_probs:
         pair = common.make_pair(dataset, scale, inclusion_prob=p, seed=seed)
-        avg = (
-            pair.e_records.groupby("entity").size().mean()
-            + pair.i_records.groupby("entity").size().mean()
-        ) / 2.0
         rows += _run_all(
             spark,
             pair,
-            include_gm=grid["include_gm"],
+            tuple(LINKERS),
             lsh_step=grid["lsh_step"],
             part="density",
             inclusion_prob=p,
             intersection_ratio=0.5,
-            avg_records=round(avg, 1),
+            avg_records=common.avg_records(pair),
         )
     # part (c/d): intersection-ratio sweep (SLIM+LSH vs ST-Link)
     for rho in density_ratios:
-        pair = common.make_pair(
-            dataset, scale, intersection_ratio=rho, inclusion_prob=0.5, seed=seed
+        pair = common.make_pair(dataset, scale, intersection_ratio=rho, inclusion_prob=0.5, seed=seed)
+        rows += _run_all(
+            spark,
+            pair,
+            INTERSECTION_ALGOS,
+            lsh_step=grid["lsh_step"],
+            part="intersection",
+            inclusion_prob=0.5,
+            intersection_ratio=rho,
+            avg_records=common.avg_records(pair),
         )
-        avg = (
-            pair.e_records.groupby("entity").size().mean()
-            + pair.i_records.groupby("entity").size().mean()
-        ) / 2.0
-        rows += [
-            r
-            for r in _run_all(
-                spark,
-                pair,
-                include_gm=False,
-                lsh_step=grid["lsh_step"],
-                part="intersection",
-                inclusion_prob=0.5,
-                intersection_ratio=rho,
-                avg_records=round(avg, 1),
-            )
-            if r["algo"] in ("slim_lsh", "stlink")
-        ]
     return pd.DataFrame(rows)

@@ -18,6 +18,7 @@ from repro.core.slim import SlimConfig, run_slim
 from repro.experiments import common
 
 DEFAULT_LEVELS = {"test": [8, 12], "bench": [4, 8, 12, 16]}
+WINDOW_MIN = 90.0  # Fig. 6's window width
 
 
 def run(
@@ -26,7 +27,6 @@ def run(
     dataset: str = "cab",
     scale: str = "test",
     levels: list[int] | None = None,
-    window_min: float = 90.0,
     seed: int = 0,
 ) -> pd.DataFrame:
     levels = levels or DEFAULT_LEVELS[scale]
@@ -35,11 +35,11 @@ def run(
     truth_pairs = set(zip(pair.truth["u"], pair.truth["v"]))
     rows = []
     for level in levels:
-        res = run_slim(rec_e, rec_i, SlimConfig(level=level, window_min=window_min, use_lsh=False))
+        res = run_slim(rec_e, rec_i, SlimConfig(level=level, window_min=WINDOW_MIN, use_lsh=False))
         row = {
             "dataset": dataset,
             "level": level,
-            "window_min": window_min,
+            "window_min": WINDOW_MIN,
             **common.prf_cols(res.links, pair),
         }
         if len(res.matched) >= gmm.MIN_FIT_WEIGHTS:  # else no mixture is fitted

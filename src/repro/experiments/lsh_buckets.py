@@ -4,9 +4,11 @@ One series per LSH similarity threshold t. F1 is unaffected by the
 bucket count (identical bands always collide regardless of bucket
 count), so this harness computes the speed-up from comparison counts
 alone — no similarity scoring needed — exactly the paper's metric:
-comparisons without LSH / comparisons with LSH. Signature level 16,
-temporal step 48 (the paper's setting; at "test" scale a smaller step
-keeps the signature non-degenerate).
+comparisons without LSH / comparisons with LSH. Bins and signatures
+take ``SlimConfig``'s and ``LshConfig``'s defaults (level 12,
+15-minute windows, signature level 16); the temporal step is the
+grid's (the paper's is 48; at "test" scale a smaller step keeps the
+signature non-degenerate).
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from pyspark.sql import SparkSession
 
 from repro.core import histories
 from repro.core.lsh import LshConfig, lsh_candidates
+from repro.core.slim import SlimConfig
 from repro.experiments import common
 
 DEFAULT_GRID = {
@@ -34,10 +37,7 @@ def run(
     scale: str = "test",
     bucket_counts: list[int] | None = None,
     thresholds: list[float] | None = None,
-    sig_level: int = 16,
     step: int | None = None,
-    window_min: float = 15.0,
-    level: int = 12,
     seed: int = 0,
 ) -> pd.DataFrame:
     grid = DEFAULT_GRID.get(scale, DEFAULT_GRID["bench"])
@@ -46,7 +46,7 @@ def run(
     step = step or grid["step"]
     pair = common.make_pair(dataset, scale, seed=seed)
     rec_e, rec_i = common.spark_pair(spark, pair)
-    window_sec = int(window_min * 60)
+    level, window_sec = SlimConfig().level, SlimConfig().window_sec
     bins_e = histories.build_bins(rec_e, level=level, window_sec=window_sec).cache()
     bins_i = histories.build_bins(rec_i, level=level, window_sec=window_sec).cache()
     comp_bf = histories.comparison_count_all_pairs(bins_e, bins_i)
@@ -57,7 +57,7 @@ def run(
     rows = []
     for t in thresholds:
         for nb in bucket_counts:
-            cfg = LshConfig(level=sig_level, step=step, threshold=t, n_buckets=nb)
+            cfg = LshConfig(step=step, threshold=t, n_buckets=nb)
             cand, plan = lsh_candidates(
                 rec_e, rec_i, window_sec=window_sec, cfg=cfg, qw_span=stats.qw_span
             )

@@ -1,6 +1,7 @@
 """E5 — LSH accuracy and speed-up vs signature parameters
 (paper Fig. 8: relative F1 and speed-up as a function of the signature
-spatial level and the temporal step size; t = 0.6, 4096 buckets).
+spatial level and the temporal step size; t = 0.6 and 4096 buckets,
+``LshConfig``'s defaults).
 
 Relative F1 = F1(with LSH) / F1(brute force); speed-up = pairwise bin
 comparisons without LSH / with LSH (the paper's own metric).
@@ -28,8 +29,6 @@ def run(
     scale: str = "test",
     sig_levels: list[int] | None = None,
     steps: list[int] | None = None,
-    threshold: float = 0.6,
-    n_buckets: int = 4096,
     seed: int = 0,
 ) -> pd.DataFrame:
     grid = DEFAULT_GRID[scale]
@@ -45,12 +44,7 @@ def run(
     rows = []
     for level in sig_levels:
         for step in steps:
-            cfg = SlimConfig(
-                use_lsh=True,
-                lsh=LshConfig(
-                    level=level, step=step, threshold=threshold, n_buckets=n_buckets
-                ),
-            )
+            cfg = SlimConfig(lsh=LshConfig(level=level, step=step))
             res = run_slim(rec_e, rec_i, cfg)
             f1 = metrics.evaluate_links(res.links, pair.truth).f1
             rows.append(

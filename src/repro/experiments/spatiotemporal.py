@@ -10,7 +10,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.slim import SlimConfig
+from repro.core.slim import SlimConfig, run_slim
 from repro.experiments import common
 
 DEFAULT_GRID = {
@@ -40,15 +40,6 @@ def run(
     for window in windows_min:
         for level in levels:
             cfg = SlimConfig(level=level, window_min=window, use_lsh=False)
-            rows.append(
-                common.run_slim_row(
-                    rec_e,
-                    rec_i,
-                    pair,
-                    cfg,
-                    dataset=dataset,
-                    level=level,
-                    window_min=window,
-                )
-            )
+            res = run_slim(rec_e, rec_i, cfg)
+            rows.append(common.slim_row(res, pair, dataset=dataset, level=level, window_min=window))
     return pd.DataFrame(rows)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.slim import SlimConfig
+from repro.core.slim import SlimConfig, run_slim
 from repro.experiments import common
 
 DEFAULT_GRID = {
@@ -40,20 +40,15 @@ def run(
                 dataset, scale, intersection_ratio=rho, inclusion_prob=p, seed=seed
             )
             rec_e, rec_i = common.spark_pair(spark, pair)
-            avg_records = (
-                pair.e_records.groupby("entity").size().mean()
-                + pair.i_records.groupby("entity").size().mean()
-            ) / 2.0
+            res = run_slim(rec_e, rec_i, SlimConfig(use_lsh=False))
             rows.append(
-                common.run_slim_row(
-                    rec_e,
-                    rec_i,
+                common.slim_row(
+                    res,
                     pair,
-                    SlimConfig(use_lsh=False),
                     dataset=dataset,
                     intersection_ratio=rho,
                     inclusion_prob=p,
-                    avg_records=round(avg_records, 1),
+                    avg_records=common.avg_records(pair),
                 )
             )
             rec_e.unpersist()

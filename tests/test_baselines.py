@@ -107,14 +107,25 @@ class TestGm:
         pd.testing.assert_frame_equal(res.links, res.matched)
 
     def test_slot_validation(self):
-        assert gm_mod.expected_slot_count(8) == 10_800
-        with pytest.raises(ValueError):
-            gm_mod.expected_slot_count(7)
+        # 7 slots of 12,342 s would leave an eighth slot of 6 s
+        with pytest.raises(ValueError, match="n_slots must divide 86400"):
+            gm_mod.GmConfig(n_slots=7)
 
-    def test_likelihood_floor_formula(self):
+    def test_likelihood_floor_formula(self, spark):
+        # only (1, 10) shares a (slot, cell); in the other pairs each of
+        # v's n_v records gets only the smoothing mass λ / (tot_u + λ·V)
+        a, b, c = (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)  # (lat, lon), far apart
+        e = [(1, 0, *a), (1, 60, *a), (2, 0, *b)]
+        i = [(10, 0, *a), (10, 60, *a), (10, 120, *a), (11, 0, *c), (11, 11_000, *c)]
+        schema = "entity long, ts long, lat double, lon double"
+        rec_e, rec_i = (spark.createDataFrame(r, schema) for r in (e, i))
         cfg = gm_mod.GmConfig(smoothing=0.5)
-        f = gm_mod.log_likelihood_floor(cfg, vocab=100, tot_u=50)
-        assert f == pytest.approx(math.log(0.5) - math.log(50 + 50.0))
+        res = gm_mod.run_gm(rec_e, rec_i, cfg)
+        lam, vocab = cfg.smoothing, 4  # slot 0: a, b, c; slot 1: c
+        scores = res.scores.set_index(["u", "v"])["score"]
+        for u, v, tot_u, n_v in [(2, 10, 1, 3), (1, 11, 2, 2), (2, 11, 1, 2)]:
+            floor = math.log(lam) - math.log(tot_u + lam * vocab)
+            assert scores[(u, v)] == pytest.approx(n_v * floor, rel=1e-12)
 
 
 class TestGmDegradesWhenSparse:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core import histories, similarity
 from repro.core.proximity import proximity as prox
+from repro.core.slim import SlimConfig
 from repro.grid import cells
 
 LEVEL = 12
@@ -60,9 +61,7 @@ def _score(spark, e_rows, i_rows, pairs, **kw):
         _bins(spark, i_rows),
         _cand(spark, pairs),
         stats=_stats(e_rows, i_rows),
-        level=LEVEL,
-        window_sec=WINDOW_SEC,
-        **kw,
+        cfg=SlimConfig(level=LEVEL, window_min=WINDOW_SEC / 60, **kw),
     ).toPandas()
     return out.set_index(["u", "v"]).sort_index()
 
@@ -417,9 +416,7 @@ class TestPairScores:
         bins = histories.build_bins(rec_e, level=LEVEL, window_sec=WINDOW_SEC).cache()
         ents = sorted(r[0] for r in bins.select("entity").distinct().collect())[:4]
         pairs = [(u, v) for u in ents for v in ents]
-        out = similarity.pair_scores(
-            bins, bins, _cand(spark, pairs), stats=stats, level=LEVEL, window_sec=WINDOW_SEC
-        ).toPandas()
+        out = similarity.pair_scores(bins, bins, _cand(spark, pairs), stats=stats, cfg=SlimConfig()).toPandas()
         piv = out.set_index(["u", "v"])["score"]
         for u in ents:
             for v in ents:

@@ -267,6 +267,25 @@ class TestDegenerateInstances:
         assert res.links["u"].is_unique and res.links["v"].is_unique
         assert (res.links["score"] > res.threshold.threshold).all()
 
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_all_equal_scores(self, spark, mode):
+        # k twin pairs, each one shared bin of one window; the twin pairs
+        # sit 1° of latitude apart, so any cross pair is an alibi. Every
+        # matched score is then log(k) (idf, L = 1) and the GMM has
+        # nothing to separate: no threshold, every match is a link.
+        k = 5
+        rows = [(t, 1_000, float(t), 0.0) for t in range(k)]
+        schema = "entity long, ts long, lat double, lon double"
+        rec_e = spark.createDataFrame(rows, schema)
+        rec_i = spark.createDataFrame([(10 + t, *rest) for t, *rest in rows], schema)
+        res = run_slim(rec_e, rec_i, MODES[mode])
+        assert sorted(zip(res.matched["u"], res.matched["v"])) == [(t, 10 + t) for t in range(k)]
+        assert res.matched["score"].nunique() == 1
+        assert res.threshold.threshold == -np.inf
+        pd.testing.assert_frame_equal(res.links, res.matched)
+        assert res.threshold.separation == 0
+        assert res.threshold.expected_f1 == 1
+
 
 class TestInputContract:
     """run_slim rejects records it cannot bin, with a clear error."""

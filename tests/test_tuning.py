@@ -3,6 +3,9 @@ import numpy as np
 import pytest
 
 from repro.core import tuning
+from repro.core.slim import SlimConfig
+
+PROBE = dict(n_probe=4, n_others=6, seed=0)
 
 
 class TestKneedle:
@@ -48,20 +51,23 @@ class TestSelfSimilarityRatio:
         # the Sec 3.3 observation: finer detail makes an entity more
         # distinguishable, so pair/self similarity drops with level
         rec_e, _ = cab_records
-        r_coarse = tuning.self_similarity_ratio(
-            rec_e, level=6, window_sec=900, n_probe=4, n_others=6, seed=0
-        )
-        r_fine = tuning.self_similarity_ratio(
-            rec_e, level=14, window_sec=900, n_probe=4, n_others=6, seed=0
-        )
+        r_coarse = tuning.self_similarity_ratio(rec_e, SlimConfig(level=6), **PROBE)
+        r_fine = tuning.self_similarity_ratio(rec_e, SlimConfig(level=14), **PROBE)
         assert r_fine < r_coarse
 
     def test_ratio_below_one_at_fine_level(self, cab_records):
         rec_e, _ = cab_records
-        r = tuning.self_similarity_ratio(
-            rec_e, level=14, window_sec=900, n_probe=4, n_others=6, seed=0
-        )
+        r = tuning.self_similarity_ratio(rec_e, SlimConfig(level=14), **PROBE)
         assert r < 1.0
+
+    def test_ratio_follows_the_config(self, cab_records):
+        # the probe scores with the linkage's switches, not its own
+        rec_e, _ = cab_records
+        full = tuning.self_similarity_ratio(rec_e, SlimConfig(level=14), **PROBE)
+        all_pairs = tuning.self_similarity_ratio(
+            rec_e, SlimConfig(level=14, pairing="all", use_mfn=False), **PROBE
+        )
+        assert all_pairs != full
 
 
 class TestSelectSpatialLevel:
@@ -71,7 +77,7 @@ class TestSelectSpatialLevel:
             rec_e,
             rec_i,
             levels=[6, 8, 10, 12, 14, 16],
-            window_sec=900,
+            cfg=SlimConfig(),
             seed=0,
         )
         assert level in (8, 10, 12, 14, 16)
