@@ -4,9 +4,7 @@ from repro.experiments import spatiotemporal
 
 def test_e2_spatiotemporal_sm(benchmark, spark, save_table):
     table = benchmark.pedantic(
-        lambda: spatiotemporal.run(
-            spark, dataset="sm", scale="bench", levels=[8, 12, 16], windows_min=[15.0, 90.0]
-        ),
+        lambda: spatiotemporal.run(spark, dataset="sm", scale="bench"),
         rounds=1,
         iterations=1,
     )

@@ -7,10 +7,7 @@ from repro.experiments import lsh_buckets
 def test_e6_lsh_buckets(benchmark, spark, save_table):
     def run_both():
         cab = lsh_buckets.run(spark, dataset="cab", scale="bench")
-        # "large" SM instance: E6 never scores pairs (comparison counts
-        # are closed-form), so entity count — which drives the paper's
-        # SM speed-up — can be much higher than brute-force sweeps allow
-        sm = lsh_buckets.run(spark, dataset="sm", scale="large")
+        sm = lsh_buckets.run(spark, dataset="sm", scale="bench")
         return pd.concat([cab, sm], ignore_index=True)
 
     table = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -42,8 +42,6 @@ class StLinkConfig:
     window_min: float = 15.0
     alpha_m_per_sec: float = proximity.DEFAULT_ALPHA_M_PER_SEC
     alibi_tolerance: int = 3  # paper Sec 5.5 sets the alibi threshold count to 3
-    k_min: int | None = None  # override elbow-detected k*
-    l_min: int | None = None  # override elbow-detected l*
 
     @property
     def window_sec(self) -> int:
@@ -142,12 +140,8 @@ def run_stlink(
         .toPandas()
     )
 
-    k_star = cfg.k_min if cfg.k_min is not None else _elbow_threshold(
-        scores["k"].to_numpy(), fallback=2
-    )
-    l_star = cfg.l_min if cfg.l_min is not None else _elbow_threshold(
-        scores["l"].to_numpy(), fallback=2
-    )
+    k_star = _elbow_threshold(scores["k"].to_numpy(), fallback=2)
+    l_star = _elbow_threshold(scores["l"].to_numpy(), fallback=2)
 
     qual = scores[
         (scores["k"] >= k_star)

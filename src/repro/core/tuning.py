@@ -71,7 +71,8 @@ def self_similarity_ratio(
     ``cfg``. Normalization and idf are evaluated with the full dataset
     statistics.
     """
-    ents = [r["entity"] for r in records.select("entity").distinct().collect()]
+    # sorted, so the draw does not depend on the shuffle's row order
+    ents = sorted(r["entity"] for r in records.select("entity").distinct().collect())
     rng = np.random.default_rng(seed)
     probes = rng.choice(ents, size=min(n_probe, len(ents)), replace=False)
     others = rng.choice(ents, size=min(n_others, len(ents)), replace=False)

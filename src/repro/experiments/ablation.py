@@ -41,40 +41,21 @@ DEFAULT_GRID = {
 }
 
 
-def run(
-    spark: SparkSession,
-    *,
-    dataset: str = "cab",
-    scale: str = "test",
-    levels: list[int] | None = None,
-    windows_min: list[float] | None = None,
-    variants: list[str] | None = None,
-    seed: int = 0,
-) -> pd.DataFrame:
+def run(spark: SparkSession, *, dataset: str = "cab", scale: str = "test", seed: int = 0) -> pd.DataFrame:
     grid = DEFAULT_GRID[scale]
-    levels = levels or grid["levels"]
-    windows_min = windows_min or grid["windows_min"]
-    variants = variants or list(VARIANTS)
     pair = common.make_pair(dataset, scale, seed=seed)
     rec_e, rec_i = common.spark_pair(spark, pair)
-    truth_pairs = set(zip(pair.truth["u"], pair.truth["v"]))
 
-    sweeps = [("level", lv, grid["fixed_window"]) for lv in levels] + [
-        ("window", grid["fixed_level"], w) for w in windows_min
+    sweeps = [("level", lv, grid["fixed_window"]) for lv in grid["levels"]] + [
+        ("window", grid["fixed_level"], w) for w in grid["windows_min"]
     ]
     rows = []
     for sweep, level, window in sweeps:
-        for name in variants:
-            cfg = SlimConfig(
-                level=level, window_min=window, use_lsh=False, **VARIANTS[name]
-            )
+        for name, switches in VARIANTS.items():
+            cfg = SlimConfig(level=level, window_min=window, use_lsh=False, **switches)
             res = run_slim(rec_e, rec_i, cfg)
             prf = metrics.evaluate_links(res.links, pair.truth)
-            matched = res.matched
-            fp_mask = [
-                (u, v) not in truth_pairs for u, v in zip(matched["u"], matched["v"])
-            ]
-            fp_scores = matched["score"][pd.Series(fp_mask, index=matched.index)]
+            _, mean_fp = common.mean_matched_scores(res, pair)
             rows.append(
                 {
                     "dataset": dataset,
@@ -85,9 +66,7 @@ def run(
                     "f1": round(prf.f1, 4),
                     "precision": round(prf.precision, 4),
                     "recall": round(prf.recall, 4),
-                    "mean_fp_score": round(float(fp_scores.mean()), 2)
-                    if len(fp_scores)
-                    else float("nan"),
+                    "mean_fp_score": round(mean_fp, 2),
                 }
             )
     return pd.DataFrame(rows)

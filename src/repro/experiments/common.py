@@ -1,13 +1,15 @@
 """Shared plumbing for the evaluation harnesses (DESIGN.md §4).
 
-Each harness is a pure function ``(spark, scale, ...) -> pandas
-DataFrame`` whose rows are one printed table line;
+Each harness is a pure function ``run(spark, *, dataset, scale, seed)
+-> pandas DataFrame`` whose rows are one printed table line; its
+module-level grid is the only definition of the table's sweep.
 ``python -m repro.experiments <table>`` runs one and ``benchmarks/``
 times them. ``scale`` is "test" (seconds, used by pytest) or "bench"
 (the EXPERIMENTS.md numbers).
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
@@ -58,6 +60,15 @@ def prf_cols(links: pd.DataFrame, pair: generator.LinkagePair) -> dict:
         "recall": round(prf.recall, 4),
         "f1": round(prf.f1, 4),
     }
+
+
+def mean_matched_scores(res: SlimResult, pair: generator.LinkagePair) -> tuple[float, float]:
+    """Mean score of the matched true pairs and of the matched false
+    pairs (NaN when there are none), before the stop threshold."""
+    truth = set(zip(pair.truth["u"], pair.truth["v"]))
+    m = res.matched
+    is_tp = np.array([(u, v) in truth for u, v in zip(m["u"], m["v"])], dtype=bool)
+    return float(m["score"][is_tp].mean()), float(m["score"][~is_tp].mean())
 
 
 def slim_row(

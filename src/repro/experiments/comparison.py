@@ -76,21 +76,11 @@ def _run_all(
     return rows
 
 
-def run(
-    spark: SparkSession,
-    *,
-    dataset: str = "cab",
-    scale: str = "test",
-    inclusion_probs: list[float] | None = None,
-    density_ratios: list[float] | None = None,
-    seed: int = 0,
-) -> pd.DataFrame:
+def run(spark: SparkSession, *, dataset: str = "cab", scale: str = "test", seed: int = 0) -> pd.DataFrame:
     grid = DEFAULT_GRID[scale]
-    inclusion_probs = inclusion_probs or grid["inclusion_probs"]
-    density_ratios = density_ratios or grid["density_ratios"]
     rows = []
     # part (a/b): density sweep at default intersection ratio
-    for p in inclusion_probs:
+    for p in grid["inclusion_probs"]:
         pair = common.make_pair(dataset, scale, inclusion_prob=p, seed=seed)
         rows += _run_all(
             spark,
@@ -103,7 +93,7 @@ def run(
             avg_records=common.avg_records(pair),
         )
     # part (c/d): intersection-ratio sweep (SLIM+LSH vs ST-Link)
-    for rho in density_ratios:
+    for rho in grid["density_ratios"]:
         pair = common.make_pair(dataset, scale, intersection_ratio=rho, inclusion_prob=0.5, seed=seed)
         rows += _run_all(
             spark,

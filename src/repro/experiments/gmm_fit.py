@@ -21,20 +21,11 @@ DEFAULT_LEVELS = {"test": [8, 12], "bench": [4, 8, 12, 16]}
 WINDOW_MIN = 90.0  # Fig. 6's window width
 
 
-def run(
-    spark: SparkSession,
-    *,
-    dataset: str = "cab",
-    scale: str = "test",
-    levels: list[int] | None = None,
-    seed: int = 0,
-) -> pd.DataFrame:
-    levels = levels or DEFAULT_LEVELS[scale]
+def run(spark: SparkSession, *, dataset: str = "cab", scale: str = "test", seed: int = 0) -> pd.DataFrame:
     pair = common.make_pair(dataset, scale, seed=seed)
     rec_e, rec_i = common.spark_pair(spark, pair)
-    truth_pairs = set(zip(pair.truth["u"], pair.truth["v"]))
     rows = []
-    for level in levels:
+    for level in DEFAULT_LEVELS[scale]:
         res = run_slim(rec_e, rec_i, SlimConfig(level=level, window_min=WINDOW_MIN, use_lsh=False))
         row = {
             "dataset": dataset,
@@ -44,12 +35,7 @@ def run(
         }
         if len(res.matched) >= gmm.MIN_FIT_WEIGHTS:  # else no mixture is fitted
             g = res.threshold.gmm
-            matched = res.matched
-            is_tp = [
-                (u, v) in truth_pairs for u, v in zip(matched["u"], matched["v"])
-            ]
-            tp_scores = matched["score"][pd.Series(is_tp, index=matched.index)]
-            fp_scores = matched["score"][~pd.Series(is_tp, index=matched.index)]
+            mean_tp, mean_fp = common.mean_matched_scores(res, pair)
             row.update(
                 threshold=round(res.threshold.threshold, 3),
                 mu_fp=round(float(g.mu[0]), 3),
@@ -57,8 +43,8 @@ def run(
                 sigma_fp=round(float(g.sigma[0]), 3),
                 sigma_tp=round(float(g.sigma[1]), 3),
                 separation=round(res.threshold.separation, 3),
-                mean_tp_score=round(float(tp_scores.mean()), 3) if len(tp_scores) else float("nan"),
-                mean_fp_score=round(float(fp_scores.mean()), 3) if len(fp_scores) else float("nan"),
+                mean_tp_score=round(mean_tp, 3),
+                mean_fp_score=round(mean_fp, 3),
             )
         rows.append(row)
     return pd.DataFrame(rows)

@@ -22,18 +22,8 @@ DEFAULT_GRID = {
 }
 
 
-def run(
-    spark: SparkSession,
-    *,
-    dataset: str = "cab",
-    scale: str = "test",
-    sig_levels: list[int] | None = None,
-    steps: list[int] | None = None,
-    seed: int = 0,
-) -> pd.DataFrame:
+def run(spark: SparkSession, *, dataset: str = "cab", scale: str = "test", seed: int = 0) -> pd.DataFrame:
     grid = DEFAULT_GRID[scale]
-    sig_levels = sig_levels or grid["sig_levels"]
-    steps = steps or grid["steps"]
     pair = common.make_pair(dataset, scale, seed=seed)
     rec_e, rec_i = common.spark_pair(spark, pair)
 
@@ -42,8 +32,8 @@ def run(
     comp_bf = base.n_comparisons
 
     rows = []
-    for level in sig_levels:
-        for step in steps:
+    for level in grid["sig_levels"]:
+        for step in grid["steps"]:
             cfg = SlimConfig(lsh=LshConfig(level=level, step=step))
             res = run_slim(rec_e, rec_i, cfg)
             f1 = metrics.evaluate_links(res.links, pair.truth).f1

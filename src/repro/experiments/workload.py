@@ -21,21 +21,11 @@ DEFAULT_GRID = {
 }
 
 
-def run(
-    spark: SparkSession,
-    *,
-    dataset: str = "cab",
-    scale: str = "test",
-    inclusion_probs: list[float] | None = None,
-    intersection_ratios: list[float] | None = None,
-    seed: int = 0,
-) -> pd.DataFrame:
+def run(spark: SparkSession, *, dataset: str = "cab", scale: str = "test", seed: int = 0) -> pd.DataFrame:
     grid = DEFAULT_GRID[scale]
-    inclusion_probs = inclusion_probs or grid["inclusion_probs"]
-    intersection_ratios = intersection_ratios or grid["intersection_ratios"]
     rows = []
-    for rho in intersection_ratios:
-        for p in inclusion_probs:
+    for rho in grid["intersection_ratios"]:
+        for p in grid["inclusion_probs"]:
             pair = common.make_pair(
                 dataset, scale, intersection_ratio=rho, inclusion_prob=p, seed=seed
             )

@@ -35,13 +35,6 @@ class TestStLink:
     def test_scores_columns(self, result):
         assert {"u", "v", "score", "k", "l", "alibis"} <= set(result.scores.columns)
 
-    def test_manual_k_l_override(self, cab_records):
-        rec_e, rec_i = cab_records
-        res = st_mod.run_stlink(
-            rec_e, rec_i, st_mod.StLinkConfig(k_min=10**6, l_min=10**6)
-        )
-        assert len(res.links) == 0  # impossible thresholds link nothing
-
     def test_alibi_tolerance_shrinks_qualifying_set(self, result):
         # note: *links* need not shrink monotonically — removing a
         # competing pair can resolve an ambiguity — but the qualifying

@@ -4,7 +4,9 @@ Each harness runs at "test" scale; the bench-scale numbers live in
 EXPERIMENTS.md. These tests assert schema, ranges and the paper's
 qualitative orderings where they are stable at tiny scale.
 """
+import inspect
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -53,9 +55,7 @@ class TestE1Spatiotemporal:
 
 class TestE2SpatiotemporalSm:
     def test_runs_on_sm(self, spark):
-        t = spatiotemporal.run(
-            spark, dataset="sm", scale="test", levels=[12], windows_min=[15.0]
-        )
+        t = spatiotemporal.run(spark, dataset="sm", scale="test")
         assert len(t) == 1
         assert t["f1"].iloc[0] > 0.3
 
@@ -178,6 +178,14 @@ class TestEntryPoint:
         mods = [spatiotemporal, gmm_fit, workload, lsh_level, lsh_buckets, ablation, comparison]
         assert [cli.harness(t) for t in TABLES] == [m.run for m in mods]
 
+    def test_harness_signatures(self):
+        # each table's sweep is its module's grid; run takes nothing else
+        for table in TABLES:
+            params = inspect.signature(cli.harness(table)).parameters
+            assert list(params) == ["spark", "dataset", "scale", "seed"]
+            kinds = {p.kind for name, p in params.items() if name != "spark"}
+            assert kinds == {inspect.Parameter.KEYWORD_ONLY}
+
     def test_help_lists_every_table(self):
         # --help exits in argument parsing, before any Spark session
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -191,6 +199,29 @@ class TestEntryPoint:
         assert out.returncode == 0, out.stderr
         for table in TABLES:
             assert table in out.stdout
+
+
+class TestBenchmarksCollect:
+    def test_all_eight_collect_without_spark(self):
+        # benchmarks/ only runs in the hour-long bench sweep, so an edit
+        # that breaks its imports would go unseen; JAVA_HOME points
+        # nowhere, so any Spark session started while collecting fails
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(sys.path),
+            "JAVA_HOME": str(root / "no-such-java"),
+        }
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "benchmarks", "--collect-only", "-q", "-p", "no:cacheprovider"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "8 tests collected" in out.stdout, out.stdout
 
 
 class TestPrintTable:

@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import histories, metrics
-from repro.core.lsh import LshConfig
+from repro.core.lsh import LshConfig, lsh_candidates
 from repro.core.slim import SlimConfig, run_slim
 
 # coarse signature cells: on a 6-hour instance dominating cells at
@@ -92,6 +92,19 @@ class TestLshCab:
 
     def test_lsh_scores_only_candidates(self, cab_lsh):
         assert len(cab_lsh.scores) <= cab_lsh.n_candidates
+
+    def test_comparisons_equal_closed_form_count(self, cab_records, cab_lsh):
+        # E5 reports run_slim's count and E6 the closed-form count over
+        # the same LSH candidates; they must be one number
+        rec_e, rec_i = cab_records
+        cfg = CAB_LSH
+        stats = histories.corpus_stats(
+            rec_e, rec_i, level=cfg.level, window_sec=cfg.window_sec, query_sec=cfg.window_sec * cfg.lsh.step
+        )
+        cand, _ = lsh_candidates(rec_e, rec_i, window_sec=cfg.window_sec, cfg=cfg.lsh, qw_span=stats.qw_span)
+        bins_e, bins_i = (histories.build_bins(r, level=cfg.level, window_sec=cfg.window_sec) for r in (rec_e, rec_i))
+        assert cab_lsh.n_comparisons > 0
+        assert cab_lsh.n_comparisons == histories.comparison_count_candidates(bins_e, bins_i, cand)
 
 
 class TestSmDataset:

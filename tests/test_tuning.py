@@ -70,6 +70,25 @@ class TestSelfSimilarityRatio:
         assert all_pairs != full
 
 
+    def test_ratio_independent_of_partitioning(self, spark, cab_records):
+        # the probes are drawn from the collected entity list, whose
+        # order follows the shuffle layout unless it is sorted
+        rec_e, _ = cab_records
+        cfg = SlimConfig(level=14)
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        ratios = []
+        try:
+            for n in (7, 64):
+                spark.conf.set(key, str(n))
+                ratios.append(tuning.self_similarity_ratio(rec_e, cfg, **PROBE))
+        finally:
+            spark.conf.set(key, before)
+        ratios.append(tuning.self_similarity_ratio(rec_e.repartition(5), cfg, **PROBE))
+        assert ratios[1] == ratios[0]
+        assert ratios[2] == ratios[0]
+
+
 class TestSelectSpatialLevel:
     def test_selects_reasonable_level(self, cab_records):
         rec_e, rec_i = cab_records
