@@ -10,15 +10,17 @@ few records (too little data to fit a model).
 
 Reimplementation (the original mixes Gaussian mixtures with Markov
 models; closed comparator, see DESIGN.md §2): each E-side entity u
-gets a Laplace-smoothed categorical distribution over (time-of-day
-slot × grid cell); ``score(u, v)`` is the total log-likelihood of v's
-records under u's model. The whole score table is the dense
-|U_E| × |U_I| relation — computed as DataFrames, with the sparse
-matched part via a (slot, cell) join and the smoothing mass in closed
-form. Final linkage is SLIM's own link step over GM scores
-(:func:`repro.core.slim.link`: matching, then the GMM stop threshold),
-exactly as the paper does ("we apply our linkage and stop threshold
-algorithm over their similarity scores").
+gets a Laplace-smoothed (λ = ``SMOOTHING``) categorical distribution
+over (time-of-day slot × grid cell), with ``N_SLOTS`` slots a day and
+cells at the level of SLIM's :class:`~repro.core.slim.SlimConfig`;
+``score(u, v)`` is the total log-likelihood of v's records under u's
+model. The whole score table is the dense |U_E| × |U_I| relation —
+computed as DataFrames, with the sparse matched part via a (slot,
+cell) join and the smoothing mass in closed form; its per-row record
+count n_v also gives GM's comparison count. Final linkage is SLIM's
+own link step over GM scores (:func:`repro.core.slim.link`: matching,
+then the GMM stop threshold), exactly as the paper does ("we apply our
+linkage and stop threshold algorithm over their similarity scores").
 """
 from __future__ import annotations
 
@@ -33,16 +35,8 @@ from repro.core import gmm, slim
 from repro.grid import cells
 
 
-@dataclass(frozen=True)
-class GmConfig:
-    level: int = 12
-    n_slots: int = 8  # time-of-day slots (3 h each)
-    smoothing: float = 0.5  # Laplace λ
-
-    def __post_init__(self) -> None:
-        # equal slots cover a day exactly; otherwise _slot_cell adds a short one
-        if 86_400 % self.n_slots:
-            raise ValueError("n_slots must divide 86400")
+N_SLOTS = 8  # time-of-day slots of 3 h each
+SMOOTHING = 0.5  # Laplace λ
 
 
 @dataclass
@@ -55,8 +49,8 @@ class GmResult:
     runtime_sec: float
 
 
-def _slot_cell(records: DataFrame, name: str, level: int, n_slots: int) -> DataFrame:
-    slot_sec = 86_400 // n_slots
+def _slot_cell(records: DataFrame, name: str, level: int) -> DataFrame:
+    slot_sec = 86_400 // N_SLOTS
     return records.select(
         F.col("entity").alias(name),
         (F.pmod(F.col("ts"), 86_400) / F.lit(slot_sec)).cast("long").alias("slot"),
@@ -64,16 +58,16 @@ def _slot_cell(records: DataFrame, name: str, level: int, n_slots: int) -> DataF
     )
 
 
-def run_gm(records_e: DataFrame, records_i: DataFrame, cfg: GmConfig) -> GmResult:
-    """Score all (u, v) pairs by model likelihood and link."""
+def run_gm(records_e: DataFrame, records_i: DataFrame, cfg: slim.SlimConfig) -> GmResult:
+    """Score all (u, v) pairs by model likelihood at ``cfg``'s level and link."""
     t0 = time.monotonic()
-    e_sc = _slot_cell(records_e, "u", cfg.level, cfg.n_slots)
-    i_sc = _slot_cell(records_i, "v", cfg.level, cfg.n_slots)
+    e_sc = _slot_cell(records_e, "u", cfg.level)
+    i_sc = _slot_cell(records_i, "v", cfg.level)
 
     vocab = (
         e_sc.select("slot", "cell").unionAll(i_sc.select("slot", "cell")).distinct().count()
     )
-    lam = cfg.smoothing
+    lam = SMOOTHING
 
     e_counts = e_sc.groupBy("u", "slot", "cell").agg(F.count(F.lit(1)).alias("cnt"))
     e_tot = e_counts.groupBy("u").agg(F.sum("cnt").alias("tot_u"))
@@ -98,13 +92,12 @@ def run_gm(records_e: DataFrame, records_i: DataFrame, cfg: GmConfig) -> GmResul
             + (F.col("n_v") - F.col("matched_m")) * F.log(F.lit(lam))
             - F.col("n_v") * F.log(F.col("tot_u") + F.lit(lam * vocab)),
         )
-        .select("u", "v", "score")
+        .select("u", "v", "score", "n_v")
     )
     scores = dense.toPandas()
-    # GM's cost: every I record is evaluated under every E model
-    n_e = scores["u"].nunique()
-    n_i_rec = records_i.count()
-    n_comparisons = int(n_e * n_i_rec)
+    # GM's cost: every I record is evaluated under every E model, and
+    # the dense table holds each (u, v) once with v's record count n_v
+    n_comparisons = int(scores.pop("n_v").sum())
 
     # log-likelihoods are ≤ 0; the GMM threshold machinery is scale-free
     # so it applies directly

@@ -10,11 +10,18 @@ elbow of the co-occurrence-count distributions (no labels needed).
 
 Reimplementation notes (the original is closed-source Java):
 
+* it runs at the spatio-temporal granularity of SLIM's
+  :class:`~repro.core.slim.SlimConfig` (level, window and α), as the
+  paper compares all methods at one granularity;
+* one join of both sides' bins on the window gives every within-window
+  bin pair, and one aggregate per (u, v) counts the co-occurrences,
+  their distinct cells and the alibis over those bin pairs;
 * a *co-occurrence* is a shared (temporal window × grid cell) bin;
 * *location diversity* counts distinct cells among co-occurrences;
-* *alibis* are same-window bin pairs farther apart than the runaway
-  distance, counted only for co-occurring candidate pairs (others can
-  never link);
+* *alibis* are same-window bin pairs whose cell centres lie farther
+  apart than the runaway distance; only pairs with a co-occurrence are
+  kept (others can never link), and more than ``ALIBI_TOLERANCE``
+  alibis rule a pair out;
 * the ranking score for Hit-Precision is ``k_uv · l_uv`` (co-occurrence
   volume × diversity), a monotone proxy for ST-Link's evidence order;
 * the comparison-cost metric counts all within-window cross record
@@ -33,19 +40,12 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import histories, proximity, tuning
+from repro.core.slim import SlimConfig
 from repro.grid import cells
 
 
-@dataclass(frozen=True)
-class StLinkConfig:
-    level: int = 12
-    window_min: float = 15.0
-    alpha_m_per_sec: float = proximity.DEFAULT_ALPHA_M_PER_SEC
-    alibi_tolerance: int = 3  # paper Sec 5.5 sets the alibi threshold count to 3
-
-    @property
-    def window_sec(self) -> int:
-        return int(round(self.window_min * 60))
+# paper Sec 5.5 tolerates up to 3 alibi bin pairs per linked pair
+ALIBI_TOLERANCE = 3
 
 
 @dataclass
@@ -80,62 +80,37 @@ def _elbow_threshold(values: np.ndarray, fallback: int) -> int:
     return int(max(fallback, values[int(elbow_x)]))
 
 
-def run_stlink(
-    records_e: DataFrame, records_i: DataFrame, cfg: StLinkConfig
-) -> StLinkResult:
-    """Run ST-Link and return links, scores and instrumentation."""
+def run_stlink(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> StLinkResult:
+    """Run ST-Link at ``cfg``'s level, window and α; return links,
+    scores and instrumentation."""
     t0 = time.monotonic()
     runaway = proximity.runaway_distance_m(cfg.window_sec, cfg.alpha_m_per_sec)
-    bins_e = histories.build_bins(
-        records_e, level=cfg.level, window_sec=cfg.window_sec
-    )
-    bins_i = histories.build_bins(
-        records_i, level=cfg.level, window_sec=cfg.window_sec
-    )
 
     # comparison cost: all within-window record pairs (no pruning)
     n_comparisons = histories.comparison_count_all_pairs(
         *(r.withColumn("window", F.floor(F.col("ts") / cfg.window_sec)) for r in (records_e, records_i))
     )
 
-    # co-occurrences: shared (window, cell) bins
-    co = (
-        bins_e.select(F.col("entity").alias("u"), "window", "cell")
-        .join(
-            bins_i.select(F.col("entity").alias("v"), "window", "cell"),
-            ["window", "cell"],
+    # every within-window bin pair: co-occurrences share the cell,
+    # alibis are farther apart than the runaway distance
+    eb, ib = (
+        histories.build_bins(r, level=cfg.level, window_sec=cfg.window_sec).select(
+            F.col("entity").alias(name), "window", F.col("cell").alias(f"{p}_cell"),
+            *_center_cols("cell", cfg.level, p),
         )
+        for r, name, p in ((records_e, "u", "e"), (records_i, "v", "i"))
+    )
+    same = F.col("e_cell") == F.col("i_cell")
+    d = F.sqrt((F.col("e_y") - F.col("i_y")) ** 2 + (F.col("e_x") - F.col("i_x")) ** 2)
+    scores = (
+        eb.join(ib, "window")
         .groupBy("u", "v")
         .agg(
-            F.count(F.lit(1)).alias("k"),
-            F.countDistinct("cell").alias("l"),
+            F.sum(same.cast("long")).alias("k"),
+            F.countDistinct(F.when(same, F.col("e_cell"))).alias("l"),
+            F.sum((d > runaway).cast("long")).alias("alibis"),
         )
-    )
-
-    # alibi record pairs among co-occurring candidates
-    eb = bins_e.select(
-        F.col("entity").alias("u"), "window", *_center_cols("cell", cfg.level, "e")
-    )
-    ib = bins_i.select(
-        F.col("entity").alias("v"), "window", *_center_cols("cell", cfg.level, "i")
-    )
-    cand = co.select("u", "v")
-    dist = (
-        cand.join(eb, "u")
-        .join(ib, ["v", "window"])
-        .withColumn(
-            "d",
-            F.sqrt(
-                (F.col("e_y") - F.col("i_y")) ** 2 + (F.col("e_x") - F.col("i_x")) ** 2
-            ),
-        )
-    )
-    alibis = dist.groupBy("u", "v").agg(
-        F.sum(F.when(F.col("d") > runaway, 1).otherwise(0)).alias("alibis")
-    )
-    scores = (
-        co.join(alibis, ["u", "v"], "left")
-        .fillna({"alibis": 0})
+        .where(F.col("k") > 0)  # pairs without a co-occurrence never link
         .withColumn("score", (F.col("k") * F.col("l")).cast("double"))
         .toPandas()
     )
@@ -146,7 +121,7 @@ def run_stlink(
     qual = scores[
         (scores["k"] >= k_star)
         & (scores["l"] >= l_star)
-        & (scores["alibis"] <= cfg.alibi_tolerance)
+        & (scores["alibis"] <= ALIBI_TOLERANCE)
     ]
     # ambiguity: drop every pair touching an entity with >1 qualifying pair
     u_counts = qual["u"].value_counts()

@@ -20,8 +20,8 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.baselines.gm import GmConfig, run_gm
-from repro.baselines.stlink import StLinkConfig, run_stlink
+from repro.baselines.gm import run_gm
+from repro.baselines.stlink import run_stlink
 from repro.core import metrics
 from repro.core.lsh import LshConfig
 from repro.core.slim import SlimConfig, run_slim
@@ -36,13 +36,14 @@ DEFAULT_GRID = {
     },
 }
 
-# the linkers E8 reports, by row label; every result carries links,
-# scores, n_comparisons and runtime_sec
+# the linkers E8 reports, by row label, all at SlimConfig's level,
+# window and α (Sec 5.5); every result carries links, scores,
+# n_comparisons and runtime_sec
 LINKERS = {
     "slim": lambda e, i, step: run_slim(e, i, SlimConfig(use_lsh=False)),
     "slim_lsh": lambda e, i, step: run_slim(e, i, SlimConfig(lsh=LshConfig(step=step))),
-    "stlink": lambda e, i, step: run_stlink(e, i, StLinkConfig()),
-    "gm": lambda e, i, step: run_gm(e, i, GmConfig()),
+    "stlink": lambda e, i, step: run_stlink(e, i, SlimConfig()),
+    "gm": lambda e, i, step: run_gm(e, i, SlimConfig()),
 }
 INTERSECTION_ALGOS = ("slim_lsh", "stlink")
 

@@ -7,14 +7,16 @@ import pytest
 
 from repro.baselines import gm as gm_mod
 from repro.baselines import stlink as st_mod
-from repro.core import metrics
+from repro.core import metrics, proximity
+from repro.core.slim import SlimConfig
+from repro.grid import cells
 
 
 class TestStLink:
     @pytest.fixture(scope="class")
     def result(self, cab_records):
         rec_e, rec_i = cab_records
-        return st_mod.run_stlink(rec_e, rec_i, st_mod.StLinkConfig())
+        return st_mod.run_stlink(rec_e, rec_i, SlimConfig())
 
     def test_links_one_to_one(self, result):
         assert result.links["u"].is_unique
@@ -49,6 +51,65 @@ class TestStLink:
         assert qual(0) <= qual(3) <= qual(10**9)
 
 
+def _stlink_counts(e: list, i: list, cfg: SlimConfig) -> pd.DataFrame:
+    """Pandas reference of ST-Link's (k, l, alibis) per co-occurring
+    pair: every within-window bin pair, alibis by cell-centre distance."""
+
+    def bins(recs, name):
+        r = pd.DataFrame(recs, columns=["entity", "ts", "lat", "lon"])
+        return pd.DataFrame(
+            {
+                name: r["entity"],
+                "window": r["ts"] // cfg.window_sec,
+                "cell": cells.encode(r["lat"], r["lon"], cfg.level),
+            }
+        ).drop_duplicates()
+
+    def planar(cell):
+        lat, lon = cells.cell_center(cell.to_numpy(), cfg.level)
+        return lat * cells.M_PER_DEG, lon * cells.M_PER_DEG * np.cos(np.radians(lat))
+
+    bp = bins(e, "u").merge(bins(i, "v"), on="window", suffixes=("_e", "_i"))
+    (ye, xe), (yi, xi) = planar(bp["cell_e"]), planar(bp["cell_i"])
+    runaway = proximity.runaway_distance_m(cfg.window_sec, cfg.alpha_m_per_sec)
+    bp["same"] = bp["cell_e"] == bp["cell_i"]
+    bp["shared_cell"] = bp["cell_e"].where(bp["same"])
+    bp["alibi"] = np.hypot(ye - yi, xe - xi) > runaway
+    agg = bp.groupby(["u", "v"]).agg(
+        k=("same", "sum"), l=("shared_cell", "nunique"), alibis=("alibi", "sum")
+    )
+    return agg[agg["k"] > 0]
+
+
+class TestStLinkCounts:
+    def test_counts_equal_pandas_reference(self, spark):
+        # (lat, lon) points: b–d ≈ 5.6 km (< R = 30 km, different
+        # level-12 cells); a, c and f are ≥ 111 km from b
+        a, b, c, d, f = (0.0, 0.0), (0.0, 1.0), (0.0, 2.0), (0.0, 1.05), (1.0, 1.0)
+        w = 900  # SlimConfig's window, in seconds
+        e = [
+            (1, 0 * w, *a), (1, 1 * w, *a),  # (1, 10) share a in windows 0 and 1
+            (2, 2 * w, *b), (2, 2 * w, *f), (2, 3 * w, *b),
+        ]
+        i = [
+            (10, 0 * w, *a), (10, 1 * w + 60, *a),
+            (10, 2 * w, *d),  # (2, 10) share window 2 but no cell
+            (11, 2 * w, *b),  # (2, 11) share b; f–b in window 2 is an alibi
+            (11, 3 * w, *c),  # and so is b–c in window 3
+        ]
+        schema = "entity long, ts long, lat double, lon double"
+        rec_e, rec_i = (spark.createDataFrame(r, schema) for r in (e, i))
+        cfg = SlimConfig()
+        res = st_mod.run_stlink(rec_e, rec_i, cfg)
+        got = res.scores.set_index(["u", "v"]).sort_index()[["k", "l", "alibis"]]
+        want = _stlink_counts(e, i, cfg)
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        assert got.to_dict("index") == {
+            (1, 10): {"k": 2, "l": 1, "alibis": 0},
+            (2, 11): {"k": 1, "l": 1, "alibis": 2},
+        }
+
+
 class TestElbowThreshold:
     def test_clear_elbow(self):
         vals = np.array([100, 90, 80, 5, 4, 3, 2, 2, 1, 1])
@@ -66,7 +127,7 @@ class TestGm:
     @pytest.fixture(scope="class")
     def result(self, cab_records):
         rec_e, rec_i = cab_records
-        return gm_mod.run_gm(rec_e, rec_i, gm_mod.GmConfig())
+        return gm_mod.run_gm(rec_e, rec_i, SlimConfig())
 
     def test_scores_dense(self, result, cab_records):
         rec_e, rec_i = cab_records
@@ -94,15 +155,15 @@ class TestGm:
     def test_no_threshold_below_four_matches(self, small_cab_records):
         # below gmm.MIN_FIT_WEIGHTS matched pairs no mixture is fitted
         rec_e, rec_i = small_cab_records
-        res = gm_mod.run_gm(rec_e, rec_i, gm_mod.GmConfig())
+        res = gm_mod.run_gm(rec_e, rec_i, SlimConfig())
         assert 1 <= len(res.matched) < 4
         assert res.threshold.threshold == -np.inf
         pd.testing.assert_frame_equal(res.links, res.matched)
 
-    def test_slot_validation(self):
-        # 7 slots of 12,342 s would leave an eighth slot of 6 s
-        with pytest.raises(ValueError, match="n_slots must divide 86400"):
-            gm_mod.GmConfig(n_slots=7)
+    def test_comparisons_evaluate_every_i_record_per_model(self, result, cab_records):
+        rec_e, rec_i = cab_records
+        n_e = rec_e.select("entity").distinct().count()
+        assert result.n_comparisons == n_e * rec_i.count()
 
     def test_likelihood_floor_formula(self, spark):
         # only (1, 10) shares a (slot, cell); in the other pairs each of
@@ -112,9 +173,8 @@ class TestGm:
         i = [(10, 0, *a), (10, 60, *a), (10, 120, *a), (11, 0, *c), (11, 11_000, *c)]
         schema = "entity long, ts long, lat double, lon double"
         rec_e, rec_i = (spark.createDataFrame(r, schema) for r in (e, i))
-        cfg = gm_mod.GmConfig(smoothing=0.5)
-        res = gm_mod.run_gm(rec_e, rec_i, cfg)
-        lam, vocab = cfg.smoothing, 4  # slot 0: a, b, c; slot 1: c
+        res = gm_mod.run_gm(rec_e, rec_i, SlimConfig())
+        lam, vocab = gm_mod.SMOOTHING, 4  # slot 0: a, b, c; slot 1: c
         scores = res.scores.set_index(["u", "v"])["score"]
         for u, v, tot_u, n_v in [(2, 10, 1, 3), (1, 11, 2, 2), (2, 11, 1, 2)]:
             floor = math.log(lam) - math.log(tot_u + lam * vocab)
@@ -131,10 +191,10 @@ class TestGmDegradesWhenSparse:
         if len(pair.truth) < 4:
             pytest.skip("too few surviving entities at this density")
         rec_e, rec_i = pair.to_spark(spark)
-        res = gm_mod.run_gm(rec_e, rec_i, gm_mod.GmConfig())
+        res = gm_mod.run_gm(rec_e, rec_i, SlimConfig())
         prf = metrics.evaluate_links(res.links, pair.truth)
         dense = generator.cab_pair(scale="test", inclusion_prob=0.9, seed=1)
         rec_e2, rec_i2 = dense.to_spark(spark)
-        res2 = gm_mod.run_gm(rec_e2, rec_i2, gm_mod.GmConfig())
+        res2 = gm_mod.run_gm(rec_e2, rec_i2, SlimConfig())
         prf2 = metrics.evaluate_links(res2.links, dense.truth)
         assert prf2.f1 >= prf.f1

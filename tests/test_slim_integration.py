@@ -4,6 +4,8 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines.gm import run_gm
+from repro.baselines.stlink import run_stlink
 from repro.core import histories, metrics
 from repro.core.lsh import LshConfig, lsh_candidates
 from repro.core.slim import SlimConfig, run_slim
@@ -352,17 +354,43 @@ class TestInputContract:
 JOB_BUDGET = {"lsh": 20, "bf": 18}
 
 
+def _warm_call_jobs(sc, group: str, call) -> int:
+    """Spark jobs of one ``call()`` after a warm-up call."""
+    call()  # warm-up
+    sc.setJobGroup(group, group)
+    try:
+        call()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
 class TestJobBudget:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_warm_call_jobs(self, spark, cab_records, mode):
         rec_e, rec_i = cab_records
-        sc = spark.sparkContext
-        run_slim(rec_e, rec_i, MODES[mode])  # warm-up
-        group = f"test-job-budget-{mode}"
-        sc.setJobGroup(group, group)
-        try:
-            run_slim(rec_e, rec_i, MODES[mode])
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        jobs = sc.statusTracker().getJobIdsForGroup(group)
-        assert 0 < len(jobs) <= JOB_BUDGET[mode]
+        jobs = _warm_call_jobs(
+            spark.sparkContext, f"test-job-budget-{mode}", lambda: run_slim(rec_e, rec_i, MODES[mode])
+        )
+        assert 0 < jobs <= JOB_BUDGET[mode]
+
+
+# Spark jobs of one warm baseline call on the Cab test instance,
+# measured with 1, 2 and 4 cores. ST-Link counts k, l and alibis in one
+# within-window join, and GM reads its I-side record count from the
+# dense table; a re-join of the co-occurring pairs or a separate record
+# count raises the count.
+BASELINE_JOB_BUDGET = {"stlink": 11, "gm": 14}
+BASELINES = {"stlink": run_stlink, "gm": run_gm}
+
+
+class TestBaselineJobBudget:
+    @pytest.mark.parametrize("algo", sorted(BASELINES))
+    def test_warm_call_jobs(self, spark, cab_records, algo):
+        rec_e, rec_i = cab_records
+        jobs = _warm_call_jobs(
+            spark.sparkContext,
+            f"test-baseline-job-budget-{algo}",
+            lambda: BASELINES[algo](rec_e, rec_i, SlimConfig()),
+        )
+        assert 0 < jobs <= BASELINE_JOB_BUDGET[algo]
