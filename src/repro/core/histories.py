@@ -36,13 +36,13 @@ def build_bins(records: DataFrame, *, level: int, window_sec: int) -> DataFrame:
 
     Input schema ``(entity, ts, lat, lon)``; output
     ``(entity, window, cell)`` with one row per occupied time-location
-    bin, the *set* semantics of the paper's leaves. The records are
-    hash-partitioned by entity first, so the bin aggregate and the
-    per-entity window of :func:`norm_factors` share that one shuffle.
+    bin, the *set* semantics of the paper's leaves. The binned records
+    are hash-partitioned by (window, cell) first, so the bin aggregate
+    and the per-bin window of :func:`idf` share that one shuffle.
     """
     return (
-        records.repartition("entity")
-        .select("entity", *_bin_cols(level=level, window_sec=window_sec))
+        records.select("entity", *_bin_cols(level=level, window_sec=window_sec))
+        .repartition("window", "cell")
         .distinct()
     )
 
@@ -147,9 +147,9 @@ def norm_factors(bins: DataFrame, totals: SideTotals, *, b: float) -> DataFrame:
 
     ``bins`` must hold one row per (entity, window, cell), as
     :func:`build_bins` emits, so that |H_u| is the row count of entity
-    u, a window over the entity partitioning ``build_bins`` already
-    has. avg|H| is ``totals.n_bins / totals.n_entities``, a literal
-    from :func:`corpus_stats`. Returns the input rows with ``L`` added;
+    u, a window over entity. avg|H| is
+    ``totals.n_bins / totals.n_entities``, a literal from
+    :func:`corpus_stats`. Returns the input rows with ``L`` added;
     runs no Spark action.
     """
     if not 0.0 <= b <= 1.0:
@@ -167,7 +167,8 @@ def idf(bins: DataFrame, totals: SideTotals) -> DataFrame:
 
     ``bins`` must hold one row per (entity, window, cell), as
     :func:`build_bins` emits, so that the document frequency is the row
-    count of the bin, a window over (window, cell). |U| is
+    count of the bin, a window over the (window, cell) partitioning
+    ``build_bins`` already has. |U| is
     ``totals.n_entities``, a literal from :func:`corpus_stats`. Returns
     the input rows with ``idf`` added; runs no Spark action.
     """

@@ -167,8 +167,9 @@ def lsh_candidates(
     This is the paper's filtering step: only these pairs proceed to
     similarity scoring. ``qw_span`` is :func:`plan`'s span, for query
     windows of ``window_sec · cfg.step`` seconds. Returns the distinct
-    candidate relation plus the banding plan (for reporting); runs no
-    Spark job.
+    candidate relation, hash-partitioned by ``u`` so that the scorer's
+    join on ``u`` reuses that shuffle, plus the banding plan (for
+    reporting); runs no Spark job.
     """
     p = plan(qw_span, cfg=cfg)
     sig_e = signatures(records_e, level=cfg.level, window_sec=window_sec, step=cfg.step)
@@ -179,6 +180,7 @@ def lsh_candidates(
         be.select(F.col("entity").alias("u"), "band", "bucket")
         .join(bi.select(F.col("entity").alias("v"), "band", "bucket"), ["band", "bucket"])
         .select("u", "v")
+        .repartition("u")
         .distinct()
     )
     return cand, p

@@ -19,15 +19,18 @@ Dataflow: one aggregate over both sides' records
 bin total, so idf per (window, cell) and L per entity are window
 counts over the bin rows with those totals as literals; no statistic
 needs an action of its own. Each side's bins are hash-partitioned by
-entity, which the L window reuses. The candidate relation is joined
-with both sides on the shared window (a Catalyst shuffle join producing
-one row per within-window bin pair, carrying idf_e, idf_i, L_u and
-L_v), the bin pairs are hash-partitioned by (u, v), and
-``mapInPandas`` scores a whole partition per call: the greedy MNN/MFN
-selection runs once over the partition, keyed on dense (u, v, window)
-ids, and each pair's selected contributions are summed and divided by
-L_u·L_v. The greedy selection is sequential *within a window* but
-independent *across windows*, so the kernel runs it as vectorized
+(window, cell), which the idf window reuses; one ``groupBy(entity)``
+then gathers every entity's mobility history into sorted arrays of
+windows, cells and idf, beside its L. The candidate relation is joined
+with the E histories on u and the I histories on v, so each candidate
+pair is one row carrying both histories, and ``mapInPandas`` scores
+those rows a batch per call with no further shuffle. The kernel
+expands each row into its within-window bin pairs (a merge on the
+window), runs the greedy MNN/MFN selection once over the batch, keyed
+on dense (pair, window) ids, and sums each pair's selected
+contributions and divides them by L_u·L_v; a pair that shares no
+window scores 0. The greedy selection is sequential *within a window*
+but independent *across windows*, so the kernel runs it as vectorized
 rounds: each round picks the current nearest (furthest) free pair of
 every window simultaneously — identical to the paper's
 one-pair-at-a-time loop, with no per-window Python iteration.
@@ -118,6 +121,27 @@ def _starts(*keys: np.ndarray) -> np.ndarray:
     return start
 
 
+def within_window_pairs(pdf: pd.DataFrame, *, use_idf: bool) -> pd.DataFrame:
+    """The within-window bin pairs of each row's two histories.
+
+    ``pdf`` holds one candidate pair per row, each side's history as
+    the arrays ``window_e, cell_e[, idf_e]`` and ``window_i,
+    cell_i[, idf_i]``. Returns ``(row, window, cell_e, cell_i[, idf_e,
+    idf_i])``, with ``row`` the position of the pair in ``pdf``: the
+    merge, on (row, window), of the two sides' bins.
+    """
+    fields = ["window", "cell"] + (["idf"] if use_idf else [])
+
+    def side(s: str) -> pd.DataFrame:
+        sizes = pdf[f"window_{s}"].map(len).to_numpy()
+        cols = {"row": np.repeat(np.arange(len(pdf)), sizes)}
+        for f in fields:
+            cols["window" if f == "window" else f"{f}_{s}"] = np.concatenate(pdf[f"{f}_{s}"].to_list())
+        return pd.DataFrame(cols)
+
+    return side("e").merge(side("i"), on=["row", "window"])
+
+
 def _make_kernel(
     *,
     level: int,
@@ -127,41 +151,41 @@ def _make_kernel(
     use_idf: bool,
     use_norm: bool,
 ):
-    """Build the per-partition ``mapInPandas`` kernel.
+    """Build the ``mapInPandas`` kernel.
 
-    A partition holds whole (u, v) pairs, each the within-window cross
-    product of its bin pairs: columns ``u, v, window, cell_e, cell_i``,
-    plus ``idf_e, idf_i`` when ``use_idf`` and the length factors
-    ``L_u, L_v`` (constant per pair) when ``use_norm``. The kernel
-    concatenates the partition's Arrow batches, so a pair may span
-    batches. Contributions are summed with ``math.fsum``, which rounds
-    exactly, so a score does not depend on the order in which the rows
-    arrive.
+    Each row is one candidate pair ``u, v`` with both histories, as
+    :func:`within_window_pairs` reads them, plus the length factors
+    ``L_u, L_v`` when ``use_norm``. A row is a whole pair, so every
+    Arrow batch is scored on its own, and the kernel returns one row
+    per input row. Contributions are summed with ``math.fsum``, which
+    rounds exactly, so a score does not depend on the order in which
+    the bins arrive.
     """
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        frames = [b for b in batches if len(b)]
-        if not frames:
-            return
-        pdf = pd.concat(frames, ignore_index=True)
-        pdf = pdf.sort_values(["u", "v", "window", "cell_e", "cell_i"], ignore_index=True)
-        u = pdf["u"].to_numpy(np.int64)
-        v = pdf["v"].to_numpy(np.int64)
-        win = pdf["window"].to_numpy(np.int64)
-        ce = pdf["cell_e"].to_numpy(np.int64)
-        ci = pdf["cell_i"].to_numpy(np.int64)
+        for pdf in batches:
+            if len(pdf):
+                yield score_batch(pdf)
+
+    def score_batch(pdf: pd.DataFrame) -> pd.DataFrame:
+        bp = within_window_pairs(pdf, use_idf=use_idf)
+        bp = bp.sort_values(["row", "window", "cell_e", "cell_i"], ignore_index=True)
+        row = bp["row"].to_numpy(np.int64)
+        win = bp["window"].to_numpy(np.int64)
+        ce = bp["cell_e"].to_numpy(np.int64)
+        ci = bp["cell_i"].to_numpy(np.int64)
         d = cells.min_distance_m(ce, ci, level)
         contrib = proximity.proximity(d, runaway_m)
         if use_idf:
-            contrib = contrib * np.minimum(pdf["idf_e"].to_numpy(), pdf["idf_i"].to_numpy())
+            contrib = contrib * np.minimum(bp["idf_e"].to_numpy(), bp["idf_i"].to_numpy())
         alibi = proximity.is_alibi(d, runaway_m)
 
         if pairing == "all":
-            included = np.ones(len(pdf), dtype=bool)
+            included = np.ones(len(bp), dtype=bool)
         else:
-            # dense ids of the (u, v, window) groups and of their bins;
+            # dense ids of the (pair, window) groups and of their bins;
             # the rows are sorted, so a bin's rank follows its cell
-            gid = np.cumsum(_starts(u, v, win)) - 1
+            gid = np.cumsum(_starts(row, win)) - 1
             eid = np.cumsum(_starts(gid, ce)) - 1
             by_i = np.lexsort((ci, gid))
             iid = np.empty_like(gid)
@@ -174,21 +198,19 @@ def _make_kernel(
                 # double-count an MNN-selected pair (Alg. 1)
                 included = mnn | (mfn & alibi & ~mnn)
 
-        first = np.flatnonzero(_starts(u, v))
-        n_comp = np.diff(np.append(first, len(pdf)))
-        n_pairs = np.add.reduceat(included.astype(np.int64), first)
-        n_alibi = np.add.reduceat((alibi & included).astype(np.int64), first)
+        n = len(pdf)
+        n_comp = np.bincount(row, minlength=n)
+        n_pairs = np.bincount(row[included], minlength=n)
+        n_alibi = np.bincount(row[included & alibi], minlength=n)
         picked = contrib[included].tolist()
         ends = np.cumsum(n_pairs)
-        score = np.array([math.fsum(picked[s:e]) for s, e in zip(ends - n_pairs, ends)])
+        score = np.array([math.fsum(picked[s:e]) for s, e in zip(ends - n_pairs, ends)], dtype=np.float64)
         if use_norm:
-            L_u = pdf["L_u"].to_numpy(np.float64)[first]
-            L_v = pdf["L_v"].to_numpy(np.float64)[first]
-            score = score / (L_u * L_v)
-        yield pd.DataFrame(
+            score = score / (pdf["L_u"].to_numpy(np.float64) * pdf["L_v"].to_numpy(np.float64))
+        return pd.DataFrame(
             {
-                "u": u[first],
-                "v": v[first],
+                "u": pdf["u"].to_numpy(np.int64),
+                "v": pdf["v"].to_numpy(np.int64),
                 "score": score,
                 "n_pairs": n_pairs,
                 "n_alibi": n_alibi,
@@ -213,27 +235,33 @@ def pair_scores(
     (:func:`repro.core.histories.corpus_stats`); the level, window, α,
     b and ablation switches are ``cfg``'s. Returns
     ``(u, v, score, n_pairs, n_alibi, n_comp)`` with one row per
-    candidate pair that shares at least one temporal window (others
-    have score 0 and are irrelevant to the bipartite graph).
-    ``n_comp`` is the paper's pairwise-comparison cost metric;
-    ``n_alibi`` counts included alibi bin pairs.
+    candidate pair; a pair that shares no temporal window has score 0
+    and every count 0. ``n_comp`` is the paper's pairwise-comparison
+    cost metric; ``n_alibi`` counts included alibi bin pairs.
     """
     runaway = proximity.runaway_distance_m(cfg.window_sec, cfg.alpha_m_per_sec)
 
-    def side(bins: DataFrame, totals: histories.SideTotals, entity: str, cell: str, idf: str, L: str) -> DataFrame:
-        cols = [F.col("entity").alias(entity), "window", F.col("cell").alias(cell)]
-        # the entity window first: it reuses build_bins' partitioning
-        if cfg.use_norm:
-            bins = histories.norm_factors(bins, totals, b=cfg.b)
-            cols.append(F.col("L").alias(L))
+    def side(bins: DataFrame, totals: histories.SideTotals, entity: str, s: str) -> DataFrame:
+        """One row per entity: its history as sorted arrays, and its L."""
+        fields, keys = ["window", "cell"], ["entity"]
+        # the (window, cell) window first: it reuses build_bins'
+        # partitioning, and the entity window's shuffle then serves the
+        # history aggregate
         if cfg.use_idf:
             bins = histories.idf(bins, totals)
-            cols.append(F.col("idf").alias(idf))
-        return bins.select(*cols)
+            fields.append("idf")
+        if cfg.use_norm:
+            bins = histories.norm_factors(bins, totals, b=cfg.b)
+            keys.append("L")
+        hist = bins.groupBy(*keys).agg(F.sort_array(F.collect_list(F.struct(*fields))).alias("h"))
+        cols = [F.col("entity").alias(entity), *(F.col("h")[f].alias(f"{f}_{s}") for f in fields)]
+        if cfg.use_norm:
+            cols.append(F.col("L").alias(f"L_{entity}"))
+        return hist.select(*cols)
 
-    ebins = side(bins_e, stats.e, "u", "cell_e", "idf_e", "L_u")
-    ibins = side(bins_i, stats.i, "v", "cell_i", "idf_i", "L_v")
-    joined = candidates.join(ebins, "u").join(ibins, ["v", "window"])
+    ehist = side(bins_e, stats.e, "u", "e")
+    ihist = side(bins_i, stats.i, "v", "i")
+    joined = candidates.join(ehist, "u").join(ihist, "v")
     kernel = _make_kernel(
         level=cfg.level,
         runaway_m=runaway,
@@ -242,6 +270,5 @@ def pair_scores(
         use_idf=cfg.use_idf,
         use_norm=cfg.use_norm,
     )
-    # hash partitioning keeps each pair in one partition; adaptive
-    # execution may merge partitions but never splits one
-    return joined.repartition("u", "v").mapInPandas(kernel, schema=_KERNEL_SCHEMA)
+    # every row is a whole pair, so the kernel needs no repartition
+    return joined.mapInPandas(kernel, schema=_KERNEL_SCHEMA)

@@ -57,7 +57,7 @@ class SlimResult:
 
     links: pd.DataFrame  # final linkage (u, v, score)
     matched: pd.DataFrame  # full matching before thresholding
-    scores: pd.DataFrame  # all scored candidate pairs
+    scores: pd.DataFrame  # the scored candidate pairs that share a window
     threshold: gmm.StopThreshold
     n_candidates: int
     n_comparisons: int
@@ -106,13 +106,13 @@ def run_slim(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> Sli
         candidates = similarity.all_pairs(bins_e, bins_i)
 
     if stats.e.n_entities and stats.i.n_entities:
-        candidates = candidates.cache()
-        n_candidates = candidates.count()
         scored = similarity.pair_scores(bins_e, bins_i, candidates, stats=stats, cfg=cfg).toPandas()
-        candidates.unpersist()
     else:  # an empty side links nothing
-        n_candidates = 0
         scored = similarity.empty_scores()
+    # every candidate gets a row; those sharing no window score 0 and
+    # stay out of the scores
+    n_candidates = len(scored)
+    scored = scored[scored["n_comp"] > 0].reset_index(drop=True)
 
     n_comparisons = int(scored["n_comp"].sum())
     n_alibi_pairs = int((scored["n_alibi"] > 0).sum())

@@ -84,6 +84,7 @@ def self_similarity_ratio(
         schema="u long, v long",
     )
     scored = similarity.pair_scores(bins, bins, cand, stats=stats, cfg=cfg).toPandas()
+    scored = scored[scored["n_comp"] > 0]  # pairs that share a window
     ratios = []
     for u in probes:
         rows = scored[scored["u"] == u]

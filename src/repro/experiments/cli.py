@@ -23,8 +23,8 @@ def build_session(app: str) -> SparkSession:
     Broadcast joins are disabled so that the joins run as shuffles at
     every scale. Adaptive query execution may change the output
     partitioning of a cached plan, so it coalesces the partitions of a
-    cached relation (the LSH candidates, brute force's Cartesian
-    product) like those of any other shuffle; without it every stage
+    cached relation (the records or bins that benchmarks and tests
+    cache) like those of any other shuffle; without it every stage
     that reads the cache runs one task per cached partition.
     """
     return (

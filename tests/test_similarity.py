@@ -165,50 +165,68 @@ class TestGreedySelect:
         ]
 
 
-def _tied_rows(draw):
-    """Bin pairs of one (u, v) over heavily tied grid distances.
+IDFS = st.sampled_from([0.5, 1.0, 2.0])
 
-    The within-window cross product of both entities' bins, as
-    ``pair_scores`` feeds the kernel: ``(window, cell_e, cell_i,
-    idf_e, idf_i)``. idf is a property of a bin, so each bin draws it
-    once.
+
+def _tied_history(draw):
+    """One entity's bins ``(window, cell, idf)`` over heavily tied grid distances.
+
+    One to three of four windows, so two histories may share no
+    window; idf is a property of a bin, so each bin draws it once.
     """
-    rows = []
-    for w in range(draw(st.integers(1, 3))):
-        side = st.lists(st.sampled_from(TIED_CELLS), min_size=1, max_size=4, unique=True)
-        idf = st.sampled_from([0.5, 1.0, 2.0])
-        idf_e = {c: draw(idf) for c in draw(side)}
-        idf_i = {c: draw(idf) for c in draw(side)}
-        rows += [(w, ce, ci, idf_e[ce], idf_i[ci]) for ce in idf_e for ci in idf_i]
-    return rows
+    bins = []
+    for w in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+        for c in draw(st.lists(st.sampled_from(TIED_CELLS), min_size=1, max_size=4, unique=True)):
+            bins.append((w, c, draw(IDFS)))
+    return bins
 
 
-GROUP_COLUMNS = ["u", "v", "window", "cell_e", "cell_i", "idf_e", "idf_i", "L_u", "L_v"]
+def _pair_row(u, v, hist_e, hist_i, L):
+    """One candidate pair as ``pair_scores`` feeds the kernel: both histories as arrays."""
+    row = {"u": u, "v": v, "L_u": L[u], "L_v": L[v]}
+    for s, hist in (("e", hist_e), ("i", hist_i)):
+        window, cell, idf = zip(*hist)
+        row |= {
+            f"window_{s}": np.array(window, np.int64),
+            f"cell_{s}": np.array(cell, np.int64),
+            f"idf_{s}": np.array(idf, np.float64),
+        }
+    return row
+
+
+def _bin_pairs(row):
+    """A pair row's within-window bin pairs: a pandas merge of its two sides on window."""
+    e, i = (
+        pd.DataFrame({"window": row[f"window_{s}"], f"cell_{s}": row[f"cell_{s}"], f"idf_{s}": row[f"idf_{s}"]})
+        for s in "ei"
+    )
+    return e.merge(i, on="window").assign(L_u=row["L_u"], L_v=row["L_v"])
 
 
 @st.composite
 def tied_group(draw):
-    """One (u, v) pair's bin pairs and a row permutation."""
-    rows = [(0, 10, *r, 1.0, 1.0) for r in _tied_rows(draw)]
-    pdf = pd.DataFrame(rows, columns=GROUP_COLUMNS)
-    return pdf, draw(st.permutations(range(len(pdf))))
+    """One (u, v) pair's histories and a permutation of each history's bins."""
+    hist_e, hist_i = _tied_history(draw), _tied_history(draw)
+    perm_e, perm_i = draw(st.permutations(hist_e)), draw(st.permutations(hist_i))
+    L = {0: 1.0, 10: 1.0}
+    return pd.DataFrame([_pair_row(0, 10, hist_e, hist_i, L)]), pd.DataFrame([_pair_row(0, 10, perm_e, perm_i, L)])
 
 
 @st.composite
 def tied_partition(draw):
-    """Several (u, v) pairs' bin pairs, interleaved and cut into batches.
+    """Several (u, v) pair rows, in random order and cut into batches.
 
-    Entities share their length factor across pairs, as ``L_u`` is per
-    entity; the batches split pairs and windows at random rows.
+    Each entity has one history and one length factor, shared by all
+    its pairs; the batches split the pairs at random rows.
     """
     pairs = draw(
-        st.lists(st.tuples(st.integers(0, 2), st.integers(10, 12)), min_size=1, max_size=4, unique=True)
+        st.lists(st.tuples(st.integers(0, 2), st.integers(10, 12)), min_size=1, max_size=6, unique=True)
     )
-    length = st.sampled_from([0.5, 1.0, 1.5])
-    L = {x: draw(length) for pair in pairs for x in pair}
-    rows = [(u, v, *r, L[u], L[v]) for u, v in pairs for r in _tied_rows(draw)]
-    pdf = pd.DataFrame(rows, columns=GROUP_COLUMNS)
-    pdf = pdf.iloc[draw(st.permutations(range(len(pdf))))].reset_index(drop=True)
+    entities = sorted({x for pair in pairs for x in pair})
+    hist = {x: _tied_history(draw) for x in entities}
+    L = {x: draw(st.sampled_from([0.5, 1.0, 1.5])) for x in entities}
+    rows = [_pair_row(u, v, hist[u], hist[v], L) for u, v in draw(st.permutations(pairs))]
+    pdf = pd.DataFrame(rows)
     cuts = sorted(draw(st.lists(st.integers(0, len(pdf)), max_size=4)))
     bounds = [0, *cuts, len(pdf)]
     return [pdf.iloc[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -264,8 +282,7 @@ class TestKernelRowOrder:
     @settings(max_examples=200, deadline=None)
     @given(tied_group())
     def test_scores_invariant_under_row_permutation(self, group):
-        pdf, perm = group
-        shuffled = pdf.iloc[perm].reset_index(drop=True)
+        pdf, shuffled = group
         for use_mfn in (False, True):
             switches = dict(pairing="mnn", use_mfn=use_mfn, use_idf=True, use_norm=False)
             a = _kernel([pdf], **switches).iloc[0]
@@ -276,8 +293,24 @@ class TestKernelRowOrder:
             assert b["score"] == a["score"]
 
 
+class TestWithinWindowPairs:
+    @settings(max_examples=100, deadline=None)
+    @given(tied_partition())
+    def test_expansion_equals_merge_on_window(self, batches):
+        pdf = pd.concat(batches, ignore_index=True)
+        key = ["window", "cell_e", "cell_i"]
+        for use_idf in (False, True):
+            got = similarity.within_window_pairs(pdf, use_idf=use_idf)
+            cols = key + (["idf_e", "idf_i"] if use_idf else [])
+            assert sorted(got.columns) == sorted(["row", *cols])
+            for j in range(len(pdf)):
+                want = _bin_pairs(pdf.iloc[j])[cols].sort_values(key, ignore_index=True)
+                mine = got[got["row"] == j][cols].sort_values(key, ignore_index=True)
+                pd.testing.assert_frame_equal(mine, want, check_exact=True)
+
+
 class TestKernelOracle:
-    """One call over a whole partition equals scoring each pair alone."""
+    """One call over batches of pair rows equals scoring each pair alone."""
 
     @settings(max_examples=100, deadline=None)
     @given(tied_partition())
@@ -286,10 +319,12 @@ class TestKernelOracle:
         for switches in SWITCHES:
             got = _kernel(batches, **switches).set_index(["u", "v"])
             assert got.index.is_unique
-            assert len(got) == len(pdf.groupby(["u", "v"]))
-            for (u, v), rows in pdf.groupby(["u", "v"]):
-                want = _reference_pair(rows.reset_index(drop=True), **switches)
-                row = got.loc[(u, v)]
+            assert len(got) == len(pdf)
+            for _, pair in pdf.iterrows():
+                rows = _bin_pairs(pair)
+                # a pair that shares no window scores 0
+                want = _reference_pair(rows, **switches) if len(rows) else (0.0, 0, 0, 0)
+                row = got.loc[(pair["u"], pair["v"])]
                 assert (row["score"], row["n_pairs"], row["n_alibi"], row["n_comp"]) == want, switches
 
     def test_no_rows_no_output(self):
@@ -320,9 +355,10 @@ class TestPairScores:
         assert out.loc[(0, 10), "score"] < 0
         assert out.loc[(0, 10), "n_alibi"] == 1
 
-    def test_no_shared_window_no_row(self, spark):
-        out = _score(spark, [(0, 0, CELL_A)], [(10, 7, CELL_A)], [(0, 10)])
-        assert len(out) == 0
+    def test_no_shared_window_scores_zero(self, spark):
+        out = _score(spark, [(0, 0, CELL_A)], [(10, 7, CELL_A)], [(0, 10)], use_idf=True, use_norm=True)
+        assert len(out) == 1
+        assert tuple(out.loc[(0, 10)]) == (0.0, 0, 0, 0)
 
     def test_temporal_asynchrony_not_penalized(self, spark):
         # v active in window 1 where u is absent: score unchanged vs
