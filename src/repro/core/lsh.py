@@ -70,6 +70,12 @@ class LshConfig:
     threshold: float = 0.6
     n_buckets: int = 4096
 
+    def __post_init__(self) -> None:
+        if self.step < 1 or self.n_buckets < 1:
+            raise ValueError(f"step ({self.step}) and n_buckets ({self.n_buckets}) must be >= 1")
+        if not 0 < self.threshold < 1:
+            raise ValueError("threshold must be in (0, 1)")
+
 
 def signatures(records: DataFrame, *, level: int, window_sec: int, step: int) -> DataFrame:
     """Dominating-cell signature entries ``(entity, qw, cell)``.

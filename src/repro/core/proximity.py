@@ -30,7 +30,7 @@ def runaway_distance_m(
 ) -> float:
     """R = window width × maximum speed, in metres."""
     if window_sec <= 0 or alpha_m_per_sec <= 0:
-        raise ValueError("window and alpha must be positive")
+        raise ValueError(f"window ({window_sec} s) and alpha ({alpha_m_per_sec} m/s) must be positive")
     return float(window_sec) * float(alpha_m_per_sec)
 
 

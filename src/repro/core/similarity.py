@@ -20,20 +20,20 @@ bin total, so idf per (window, cell) and L per entity are window
 counts over the bin rows with those totals as literals; no statistic
 needs an action of its own. Each side's bins are hash-partitioned by
 (window, cell), which the idf window reuses; one ``groupBy(entity)``
-then gathers every entity's mobility history into sorted arrays of
-windows, cells and idf, beside its L. The candidate relation is joined
-with the E histories on u and the I histories on v, so each candidate
-pair is one row carrying both histories, and ``mapInPandas`` scores
-those rows a batch per call with no further shuffle. The kernel
-expands each row into its within-window bin pairs (a merge on the
-window), runs the greedy MNN/MFN selection once over the batch, keyed
-on dense (pair, window) ids, and sums each pair's selected
-contributions and divides them by L_u·L_v; a pair that shares no
-window scores 0. The greedy selection is sequential *within a window*
-but independent *across windows*, so the kernel runs it as vectorized
-rounds: each round picks the current nearest (furthest) free pair of
-every window simultaneously — identical to the paper's
-one-pair-at-a-time loop, with no per-window Python iteration.
+then gathers every entity's mobility history into arrays of windows,
+cells and idf, beside its L. The candidate relation is joined with the
+E histories on u and the I histories on v, so each candidate pair is
+one row carrying both histories, and ``mapInPandas`` scores those rows
+a batch per call with no further shuffle. The kernel sorts each side's
+bins once, emits each shared (row, window) run's bin pairs in order by
+index arithmetic, runs the greedy MNN/MFN selection once over the
+batch, sums each pair's selected contributions and divides them by
+L_u·L_v; a pair that shares no window scores 0. The greedy selection
+is sequential *within a window* but independent *across windows*, so
+the kernel runs it as vectorized rounds: each round picks the current
+nearest (furthest) free pair of every window simultaneously —
+identical to the paper's one-pair-at-a-time loop, with no per-window
+Python iteration.
 """
 from __future__ import annotations
 
@@ -112,34 +112,44 @@ def greedy_select_mask(
     return sel
 
 
-def _starts(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the rows where the sorted ``keys`` tuple changes."""
-    start = np.zeros(keys[0].size, dtype=bool)
-    start[:1] = True
-    for k in keys:
-        start[1:] |= k[1:] != k[:-1]
-    return start
+def _sorted_side(pdf: pd.DataFrame, s: str, fields: list[str]) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Side ``s``'s bins sorted by (row, window, cell), and each (row, window) run's start and length."""
+    sizes = pdf[f"window_{s}"].map(len).to_numpy()
+    side = {"row": np.repeat(np.arange(len(pdf)), sizes)}
+    side |= {f: np.concatenate(pdf[f"{f}_{s}"].to_list()) for f in fields}
+    order = np.lexsort((side["cell"], side["window"], side["row"]))
+    side = {f: a[order] for f, a in side.items()}
+    row, win = side["row"], side["window"]
+    start = np.flatnonzero(np.r_[True, (row[1:] != row[:-1]) | (win[1:] != win[:-1])])
+    return side, start, np.diff(start, append=row.size)
 
 
-def within_window_pairs(pdf: pd.DataFrame, *, use_idf: bool) -> pd.DataFrame:
+def within_window_pairs(
+    pdf: pd.DataFrame, *, use_idf: bool
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """The within-window bin pairs of each row's two histories.
 
     ``pdf`` holds one candidate pair per row, each side's history as
     the arrays ``window_e, cell_e[, idf_e]`` and ``window_i,
-    cell_i[, idf_i]``. Returns ``(row, window, cell_e, cell_i[, idf_e,
-    idf_i])``, with ``row`` the position of the pair in ``pdf``: the
-    merge, on (row, window), of the two sides' bins.
+    cell_i[, idf_i]``, in any order. Returns ``(e, i, gid, eid, iid)``:
+    each side's bins ``row, window, cell[, idf]`` sorted by (row,
+    window, cell), and per bin pair, in (row, window, cell_e, cell_i)
+    order, its (row, window) group and its bins' positions in e and i.
     """
     fields = ["window", "cell"] + (["idf"] if use_idf else [])
-
-    def side(s: str) -> pd.DataFrame:
-        sizes = pdf[f"window_{s}"].map(len).to_numpy()
-        cols = {"row": np.repeat(np.arange(len(pdf)), sizes)}
-        for f in fields:
-            cols["window" if f == "window" else f"{f}_{s}"] = np.concatenate(pdf[f"{f}_{s}"].to_list())
-        return pd.DataFrame(cols)
-
-    return side("e").merge(side("i"), on=["row", "window"])
+    (e, start_e, n_e), (i, start_i, n_i) = (_sorted_side(pdf, s, fields) for s in "ei")
+    # each side's runs are sorted and unique on (row, window), so a
+    # stable sort of both puts a shared key's E run just before its I run
+    row = np.r_[e["row"][start_e], i["row"][start_i]]
+    win = np.r_[e["window"][start_e], i["window"][start_i]]
+    o = np.lexsort((win, row))
+    hit = (row[o[1:]] == row[o[:-1]]) & (win[o[1:]] == win[o[:-1]])
+    run_e, run_i = o[:-1][hit], o[1:][hit] - start_e.size
+    start_e, start_i, n_i = start_e[run_e], start_i[run_i], n_i[run_i]
+    size = n_e[run_e] * n_i
+    gid = np.repeat(np.arange(size.size), size)
+    k = np.arange(gid.size) - np.repeat(np.cumsum(size) - size, size)
+    return e, i, gid, start_e[gid] + k // n_i[gid], start_i[gid] + k % n_i[gid]
 
 
 def _make_kernel(
@@ -168,28 +178,19 @@ def _make_kernel(
                 yield score_batch(pdf)
 
     def score_batch(pdf: pd.DataFrame) -> pd.DataFrame:
-        bp = within_window_pairs(pdf, use_idf=use_idf)
-        bp = bp.sort_values(["row", "window", "cell_e", "cell_i"], ignore_index=True)
-        row = bp["row"].to_numpy(np.int64)
-        win = bp["window"].to_numpy(np.int64)
-        ce = bp["cell_e"].to_numpy(np.int64)
-        ci = bp["cell_i"].to_numpy(np.int64)
-        d = cells.min_distance_m(ce, ci, level)
+        e, i, gid, eid, iid = within_window_pairs(pdf, use_idf=use_idf)
+        row = e["row"][eid]
+        d = cells.min_distance_m(e["cell"][eid], i["cell"][iid], level)
         contrib = proximity.proximity(d, runaway_m)
         if use_idf:
-            contrib = contrib * np.minimum(bp["idf_e"].to_numpy(), bp["idf_i"].to_numpy())
+            contrib = contrib * np.minimum(e["idf"][eid], i["idf"][iid])
         alibi = proximity.is_alibi(d, runaway_m)
 
         if pairing == "all":
-            included = np.ones(len(bp), dtype=bool)
+            included = np.ones(d.size, dtype=bool)
         else:
-            # dense ids of the (pair, window) groups and of their bins;
-            # the rows are sorted, so a bin's rank follows its cell
-            gid = np.cumsum(_starts(row, win)) - 1
-            eid = np.cumsum(_starts(gid, ce)) - 1
-            by_i = np.lexsort((ci, gid))
-            iid = np.empty_like(gid)
-            iid[by_i] = np.cumsum(_starts(gid[by_i], ci[by_i])) - 1
+            # a bin's position in its sorted side rises with its cell
+            # within a window, as greedy_select_mask's tie rule needs
             mnn = greedy_select_mask(gid, eid, iid, d, furthest=False)
             included = mnn
             if use_mfn:
@@ -242,7 +243,7 @@ def pair_scores(
     runaway = proximity.runaway_distance_m(cfg.window_sec, cfg.alpha_m_per_sec)
 
     def side(bins: DataFrame, totals: histories.SideTotals, entity: str, s: str) -> DataFrame:
-        """One row per entity: its history as sorted arrays, and its L."""
+        """One row per entity: its history as arrays, and its L."""
         fields, keys = ["window", "cell"], ["entity"]
         # the (window, cell) window first: it reuses build_bins'
         # partitioning, and the entity window's shuffle then serves the
@@ -253,7 +254,7 @@ def pair_scores(
         if cfg.use_norm:
             bins = histories.norm_factors(bins, totals, b=cfg.b)
             keys.append("L")
-        hist = bins.groupBy(*keys).agg(F.sort_array(F.collect_list(F.struct(*fields))).alias("h"))
+        hist = bins.groupBy(*keys).agg(F.collect_list(F.struct(*fields)).alias("h"))
         cols = [F.col("entity").alias(entity), *(F.col("h")[f].alias(f"{f}_{s}") for f in fields)]
         if cfg.use_norm:
             cols.append(F.col("L").alias(f"L_{entity}"))

@@ -46,6 +46,12 @@ class SlimConfig:
     use_lsh: bool = True
     lsh: LshConfig = field(default_factory=LshConfig)
 
+    def __post_init__(self) -> None:
+        # a bad value fails here, before any Spark job
+        proximity.runaway_distance_m(self.window_sec, self.alpha_m_per_sec)
+        if not 0.0 <= self.b <= 1.0:
+            raise ValueError("b must be in [0, 1]")
+
     @property
     def window_sec(self) -> int:
         return int(round(self.window_min * 60))

@@ -300,12 +300,25 @@ class TestWithinWindowPairs:
         pdf = pd.concat(batches, ignore_index=True)
         key = ["window", "cell_e", "cell_i"]
         for use_idf in (False, True):
-            got = similarity.within_window_pairs(pdf, use_idf=use_idf)
+            e, i, gid, eid, iid = similarity.within_window_pairs(pdf, use_idf=use_idf)
+            fields = ["cell"] + (["idf"] if use_idf else [])
+            got = pd.DataFrame(
+                {"row": e["row"][eid], "window": e["window"][eid], "gid": gid}
+                | {f"{f}_{s}": side[f][ids] for f in fields for s, side, ids in (("e", e, eid), ("i", i, iid))}
+            )
+            # both bins of a pair sit in the same row and window
+            assert np.array_equal(i["row"][iid], got["row"]) and np.array_equal(i["window"][iid], got["window"])
+            # the kernel sums each row's contributions as one run of pairs
+            order = ["row", *key]
+            pd.testing.assert_frame_equal(got, got.sort_values(order, ignore_index=True), check_exact=True)
+            # one group per shared (row, window), numbered in order
+            groups = got[["row", "window"]].drop_duplicates()
+            assert np.array_equal(got["gid"].unique(), np.arange(len(groups)))
+            assert got.groupby("gid")[["row", "window"]].nunique().eq(1).all().all()
             cols = key + (["idf_e", "idf_i"] if use_idf else [])
-            assert sorted(got.columns) == sorted(["row", *cols])
             for j in range(len(pdf)):
                 want = _bin_pairs(pdf.iloc[j])[cols].sort_values(key, ignore_index=True)
-                mine = got[got["row"] == j][cols].sort_values(key, ignore_index=True)
+                mine = got[got["row"] == j][cols].reset_index(drop=True)
                 pd.testing.assert_frame_equal(mine, want, check_exact=True)
 
 

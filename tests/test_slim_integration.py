@@ -356,6 +356,26 @@ class TestInputContract:
         with pytest.raises(ValueError, match=f"1 records_{side} rows have {message}"):
             run_slim(recs["e"], recs["i"], SlimConfig(use_lsh=False))
 
+    @pytest.mark.parametrize(
+        "config, kwargs, message",
+        [
+            (SlimConfig, {"window_min": 0.001}, r"window \(0 s\) and alpha"),
+            (SlimConfig, {"window_min": -15.0}, r"window \(-900 s\) and alpha"),
+            (SlimConfig, {"alpha_m_per_sec": 0.0}, r"alpha \(0.0 m/s\) must be positive"),
+            (SlimConfig, {"b": 1.5}, r"b must be in \[0, 1\]"),
+            (SlimConfig, {"b": -0.1}, r"b must be in \[0, 1\]"),
+            (LshConfig, {"step": 0}, r"step \(0\) and n_buckets \(4096\) must be >= 1"),
+            (LshConfig, {"n_buckets": 0}, r"step \(48\) and n_buckets \(0\) must be >= 1"),
+            (LshConfig, {"threshold": 0.0}, r"threshold must be in \(0, 1\)"),
+            (LshConfig, {"threshold": 1.0}, r"threshold must be in \(0, 1\)"),
+        ],
+    )
+    def test_bad_config_rejected_before_any_job(self, config, kwargs, message):
+        # the config itself refuses the value, so run_slim never starts
+        # the statistics job that used to fail inside Spark
+        with pytest.raises(ValueError, match=message):
+            config(**kwargs)
+
 
 # Spark jobs of one warm run_slim call on the Cab test instance,
 # measured with 1, 2 and 4 cores. One aggregate collects the corpus
