@@ -23,6 +23,9 @@ import numpy as np
 
 # fewer matched-edge weights than this fit no mixture: every link is kept
 MIN_FIT_WEIGHTS = 4
+EM_MAX_ITER = 200  # EM rounds, at most
+EM_TOL = 1e-8  # relative log-likelihood change that stops EM
+THRESHOLD_GRID = 512  # evenly spaced candidate thresholds over the weights' range
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return sign * (1.0 - poly * np.exp(-a * a))
 
 
-def fit_gmm_1d(x: np.ndarray, *, max_iter: int = 200, tol: float = 1e-8) -> Gmm1D:
+def fit_gmm_1d(x: np.ndarray) -> Gmm1D:
     """EM fit of a 2-component 1-D GMM, initialized by a median split."""
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2:
@@ -78,7 +81,7 @@ def fit_gmm_1d(x: np.ndarray, *, max_iter: int = 200, tol: float = 1e-8) -> Gmm1
     )
     w = np.array([lo.size, hi.size], dtype=np.float64) / x.size
     ll_prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(EM_MAX_ITER):
         z = (x[:, None] - mu) / sigma
         log_comp = -0.5 * z * z - np.log(sigma * math.sqrt(2 * math.pi)) + np.log(w)
         m = log_comp.max(axis=1, keepdims=True)
@@ -90,7 +93,7 @@ def fit_gmm_1d(x: np.ndarray, *, max_iter: int = 200, tol: float = 1e-8) -> Gmm1
         var = (resp * (x[:, None] - mu) ** 2).sum(axis=0) / nk
         sigma = np.sqrt(np.maximum(var, (1e-3 * span) ** 2))
         ll = lse.sum()
-        if abs(ll - ll_prev) < tol * (abs(ll_prev) + 1.0):
+        if abs(ll - ll_prev) < EM_TOL * (abs(ll_prev) + 1.0):
             break
         ll_prev = ll
     order = np.argsort(mu)
@@ -113,15 +116,18 @@ class StopThreshold:
     """Result of automated threshold selection.
 
     ``separation`` is the normalized gap between the fitted components,
-    ``(μ2 − μ1)/(σ1 + σ2)``. When it falls below the guard the mixture
-    assumption (distinguishable TP and FP clusters, Sec 3.2) does not
-    hold and no threshold is applied (``threshold = −inf``).
+    ``(μ2 − μ1)/(σ1 + σ2)``. ``bimodal`` is True only when the threshold
+    comes from the fitted mixture. With too few or all-equal weights, or
+    when BIC prefers one Gaussian, the mixture assumption (distinguishable
+    TP and FP clusters, Sec 3.2) does not hold: no threshold is applied
+    (``threshold = −inf``) and ``bimodal`` is False.
     """
 
     threshold: float
     gmm: Gmm1D
     expected_f1: float
-    separation: float = float("inf")
+    separation: float
+    bimodal: bool
 
 
 def _bic_prefers_two_components(x: np.ndarray, gmm: Gmm1D) -> bool:
@@ -141,7 +147,7 @@ def _bic_prefers_two_components(x: np.ndarray, gmm: Gmm1D) -> bool:
     return bic2 < bic1
 
 
-def select_stop_threshold(weights: np.ndarray, *, n_grid: int = 512) -> StopThreshold:
+def select_stop_threshold(weights: np.ndarray) -> StopThreshold:
     """Fit the GMM on matched-edge weights and pick s* = argmax F1(s).
 
     Deviation from the paper (documented in DESIGN.md): the matched-edge
@@ -161,14 +167,12 @@ def select_stop_threshold(weights: np.ndarray, *, n_grid: int = 512) -> StopThre
             mu=np.array([weights.min() if weights.size else 0.0] * 2),
             sigma=np.array([1.0, 1.0]),
         )
-        return StopThreshold(threshold=-np.inf, gmm=g, expected_f1=1.0, separation=0.0)
+        return StopThreshold(threshold=-np.inf, gmm=g, expected_f1=1.0, separation=0.0, bimodal=False)
     gmm = fit_gmm_1d(weights)
     sep = float((gmm.mu[1] - gmm.mu[0]) / (gmm.sigma[0] + gmm.sigma[1]))
     if not _bic_prefers_two_components(weights, gmm):
-        return StopThreshold(
-            threshold=-np.inf, gmm=gmm, expected_f1=1.0, separation=sep
-        )
-    grid = np.linspace(weights.min(), weights.max(), n_grid)
+        return StopThreshold(threshold=-np.inf, gmm=gmm, expected_f1=1.0, separation=sep, bimodal=False)
+    grid = np.linspace(weights.min(), weights.max(), THRESHOLD_GRID)
     _, _, f1 = expected_prf(gmm, grid)
     best = int(np.argmax(f1))
     return StopThreshold(
@@ -176,4 +180,5 @@ def select_stop_threshold(weights: np.ndarray, *, n_grid: int = 512) -> StopThre
         gmm=gmm,
         expected_f1=float(f1[best]),
         separation=sep,
+        bimodal=True,
     )

@@ -30,19 +30,22 @@ from pyspark.sql import functions as F
 
 from repro.grid import cells
 
+LAMBERT_TOL = 1e-12  # relative Newton step that stops lambert_w
+LAMBERT_MAX_ITER = 100
 
-def lambert_w(x: float, *, tol: float = 1e-12, max_iter: int = 100) -> float:
+
+def lambert_w(x: float) -> float:
     """Principal-branch Lambert W for x ≥ 0 (Newton iteration)."""
     if x < 0:
         raise ValueError("only x >= 0 is needed here (t < 1 ⇒ −s·ln t > 0)")
     if x == 0:
         return 0.0
     w = math.log1p(x)  # good starting point for x >= 0
-    for _ in range(max_iter):
+    for _ in range(LAMBERT_MAX_ITER):
         ew = math.exp(w)
         delta = (w * ew - x) / (ew * (w + 1.0))
         w -= delta
-        if abs(delta) < tol * (1.0 + abs(w)):
+        if abs(delta) < LAMBERT_TOL * (1.0 + abs(w)):
             break
     return w
 
@@ -75,6 +78,7 @@ class LshConfig:
             raise ValueError(f"step ({self.step}) and n_buckets ({self.n_buckets}) must be >= 1")
         if not 0 < self.threshold < 1:
             raise ValueError("threshold must be in (0, 1)")
+        cells.cell_size_m(self.level)  # a signature level outside the grid fails here
 
 
 def signatures(records: DataFrame, *, level: int, window_sec: int, step: int) -> DataFrame:

@@ -4,13 +4,13 @@ For every candidate entity pair (u, v) the score is
 
 ``S(u,v) = Σ_{(e,i) ∈ N(u,v)} P(e,i) · min(idf(e), idf(i)) / (L(u)·L(v))``
 
-where ``N`` pairs bins *within each shared temporal window* by greedy
-mutually-nearest-neighbour (MNN) selection, an optional mutually-
-furthest-neighbour (MFN) pass adds alibi (negative-proximity) pairs,
-``idf`` awards bin uniqueness and ``L`` is BM25-style length
-normalization. Ablation switches reproduce the paper's Fig. 10
-variants: all-pairs pairing, MNN-only, no-idf, no-normalization. The
-level, window, α, b and the switches are read from one
+where ``N`` pairs bins *within each shared temporal window* by the
+:data:`Pairing` rule: greedy mutually-nearest-neighbour (MNN) selection
+plus the alibi (negative-proximity) pairs of a mutually-furthest-
+neighbour (MFN) pass, MNN alone, or all pairs. ``idf`` awards bin
+uniqueness and ``L`` is BM25-style length normalization. The pairing
+rule and the idf and norm switches give the paper's Fig. 10 variants.
+All are read, with the level, window, α and b, from one
 :class:`~repro.core.slim.SlimConfig`, so a linkage and the level probe
 of :mod:`repro.core.tuning` score with the same parameters.
 
@@ -56,7 +56,8 @@ _KERNEL_SCHEMA = (
     "u long, v long, score double, n_pairs long, n_alibi long, n_comp long"
 )
 
-Pairing = Literal["mnn", "all"]
+#: Alg. 1's pairing rule: MNN + MFN alibis (SLIM), MNN only, all pairs
+Pairing = Literal["mnn_mfn", "mnn", "all"]
 
 
 def empty_scores() -> pd.DataFrame:
@@ -152,25 +153,18 @@ def within_window_pairs(
     return e, i, gid, start_e[gid] + k // n_i[gid], start_i[gid] + k % n_i[gid]
 
 
-def _make_kernel(
-    *,
-    level: int,
-    runaway_m: float,
-    pairing: Pairing,
-    use_mfn: bool,
-    use_idf: bool,
-    use_norm: bool,
-):
-    """Build the ``mapInPandas`` kernel.
+def _make_kernel(cfg: SlimConfig):
+    """Build the ``mapInPandas`` kernel that scores with ``cfg``.
 
     Each row is one candidate pair ``u, v`` with both histories, as
     :func:`within_window_pairs` reads them, plus the length factors
-    ``L_u, L_v`` when ``use_norm``. A row is a whole pair, so every
+    ``L_u, L_v`` when ``cfg.use_norm``. A row is a whole pair, so every
     Arrow batch is scored on its own, and the kernel returns one row
     per input row. Contributions are summed with ``math.fsum``, which
     rounds exactly, so a score does not depend on the order in which
     the bins arrive.
     """
+    runaway_m = proximity.runaway_distance_m(cfg.window_sec, cfg.alpha_m_per_sec)
 
     def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
@@ -178,22 +172,22 @@ def _make_kernel(
                 yield score_batch(pdf)
 
     def score_batch(pdf: pd.DataFrame) -> pd.DataFrame:
-        e, i, gid, eid, iid = within_window_pairs(pdf, use_idf=use_idf)
+        e, i, gid, eid, iid = within_window_pairs(pdf, use_idf=cfg.use_idf)
         row = e["row"][eid]
-        d = cells.min_distance_m(e["cell"][eid], i["cell"][iid], level)
+        d = cells.min_distance_m(e["cell"][eid], i["cell"][iid], cfg.level)
         contrib = proximity.proximity(d, runaway_m)
-        if use_idf:
+        if cfg.use_idf:
             contrib = contrib * np.minimum(e["idf"][eid], i["idf"][iid])
         alibi = proximity.is_alibi(d, runaway_m)
 
-        if pairing == "all":
+        if cfg.pairing == "all":
             included = np.ones(d.size, dtype=bool)
         else:
             # a bin's position in its sorted side rises with its cell
             # within a window, as greedy_select_mask's tie rule needs
             mnn = greedy_select_mask(gid, eid, iid, d, furthest=False)
             included = mnn
-            if use_mfn:
+            if cfg.pairing == "mnn_mfn":
                 mfn = greedy_select_mask(gid, eid, iid, d, furthest=True)
                 # MFN pairs count only when they are alibis, and never
                 # double-count an MNN-selected pair (Alg. 1)
@@ -206,7 +200,7 @@ def _make_kernel(
         picked = contrib[included].tolist()
         ends = np.cumsum(n_pairs)
         score = np.array([math.fsum(picked[s:e]) for s, e in zip(ends - n_pairs, ends)], dtype=np.float64)
-        if use_norm:
+        if cfg.use_norm:
             score = score / (pdf["L_u"].to_numpy(np.float64) * pdf["L_v"].to_numpy(np.float64))
         return pd.DataFrame(
             {
@@ -234,14 +228,12 @@ def pair_scores(
 
     ``stats`` holds both sides' totals for idf and L
     (:func:`repro.core.histories.corpus_stats`); the level, window, α,
-    b and ablation switches are ``cfg``'s. Returns
+    b, pairing rule and idf and norm switches are ``cfg``'s. Returns
     ``(u, v, score, n_pairs, n_alibi, n_comp)`` with one row per
     candidate pair; a pair that shares no temporal window has score 0
     and every count 0. ``n_comp`` is the paper's pairwise-comparison
     cost metric; ``n_alibi`` counts included alibi bin pairs.
     """
-    runaway = proximity.runaway_distance_m(cfg.window_sec, cfg.alpha_m_per_sec)
-
     def side(bins: DataFrame, totals: histories.SideTotals, entity: str, s: str) -> DataFrame:
         """One row per entity: its history as arrays, and its L."""
         fields, keys = ["window", "cell"], ["entity"]
@@ -263,13 +255,5 @@ def pair_scores(
     ehist = side(bins_e, stats.e, "u", "e")
     ihist = side(bins_i, stats.i, "v", "i")
     joined = candidates.join(ehist, "u").join(ihist, "v")
-    kernel = _make_kernel(
-        level=cfg.level,
-        runaway_m=runaway,
-        pairing=cfg.pairing,
-        use_mfn=cfg.use_mfn,
-        use_idf=cfg.use_idf,
-        use_norm=cfg.use_norm,
-    )
     # every row is a whole pair, so the kernel needs no repartition
-    return joined.mapInPandas(kernel, schema=_KERNEL_SCHEMA)
+    return joined.mapInPandas(_make_kernel(cfg), schema=_KERNEL_SCHEMA)

@@ -18,6 +18,7 @@ metric of Secs 5.3/5.5), alibi entity pairs, and wall-clock runtime.
 from __future__ import annotations
 
 import time
+import typing
 from dataclasses import dataclass, field
 
 import pandas as pd
@@ -25,6 +26,7 @@ from pyspark.sql import DataFrame
 
 from repro.core import gmm, histories, matching, proximity, similarity
 from repro.core.lsh import LshConfig, LshPlan, lsh_candidates
+from repro.grid import cells
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,7 @@ class SlimConfig:
     window_min: float = 15.0
     alpha_m_per_sec: float = proximity.DEFAULT_ALPHA_M_PER_SEC
     b: float = 0.5
-    pairing: similarity.Pairing = "mnn"
-    use_mfn: bool = True
+    pairing: similarity.Pairing = "mnn_mfn"
     use_idf: bool = True
     use_norm: bool = True
     use_lsh: bool = True
@@ -48,7 +49,11 @@ class SlimConfig:
 
     def __post_init__(self) -> None:
         # a bad value fails here, before any Spark job
+        cells.cell_size_m(self.level)
         proximity.runaway_distance_m(self.window_sec, self.alpha_m_per_sec)
+        pairings = typing.get_args(similarity.Pairing)
+        if self.pairing not in pairings:
+            raise ValueError(f"pairing must be one of {pairings}, got {self.pairing!r}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
 

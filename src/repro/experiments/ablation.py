@@ -4,8 +4,8 @@ F1 of SLIM against four modified variants, (a) as a function of the
 spatial level at 15-minute windows and (b) as a function of the window
 width at level 12:
 
-* ``mnn``       — MFN alibi pass removed,
-* ``all_pairs`` — all within-window bin pairs instead of MNN,
+* ``mnn``       — ``pairing="mnn"``: MFN alibi pass removed,
+* ``all_pairs`` — ``pairing="all"``: every within-window bin pair,
 * ``no_idf``    — idf uniqueness award removed,
 * ``no_norm``   — BM25 length normalization removed.
 
@@ -24,8 +24,8 @@ from repro.experiments import common
 
 VARIANTS: dict[str, dict] = {
     "slim": {},
-    "mnn": {"use_mfn": False},
-    "all_pairs": {"pairing": "all", "use_mfn": False},
+    "mnn": {"pairing": "mnn"},
+    "all_pairs": {"pairing": "all"},
     "no_idf": {"use_idf": False},
     "no_norm": {"use_norm": False},
 }

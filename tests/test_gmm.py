@@ -108,10 +108,12 @@ class TestSelectThreshold:
     def test_degenerate_constant_scores(self):
         res = gmm.select_stop_threshold(np.full(10, 3.0))
         assert res.threshold == -np.inf  # accept everything
+        assert (res.bimodal, res.separation) == (False, 0.0)
 
     def test_tiny_input(self):
         res = gmm.select_stop_threshold(np.array([1.0, 2.0]))
         assert res.threshold == -np.inf
+        assert not res.bimodal
 
     def test_unimodal_cluster_not_thresholded(self):
         # BIC guard: one tight cluster (e.g. all-true matches after LSH
@@ -119,6 +121,8 @@ class TestSelectThreshold:
         g = np.random.default_rng(0)
         res = gmm.select_stop_threshold(g.normal(600.0, 20.0, 18))
         assert res.threshold == -np.inf
+        # a mixture was fitted, and BIC rejected it
+        assert not res.bimodal and np.isfinite(res.separation)
 
     def test_bic_guard_allows_bimodal(self):
         g = np.random.default_rng(4)
@@ -126,6 +130,7 @@ class TestSelectThreshold:
         res = gmm.select_stop_threshold(x)
         assert np.isfinite(res.threshold)
         assert 30 < res.threshold < 550
+        assert res.bimodal
 
     def test_separation_reported(self):
         g = np.random.default_rng(6)

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import histories, similarity
+from repro.core import histories, proximity, similarity
 from repro.core.proximity import proximity as prox
 from repro.core.slim import SlimConfig
 from repro.grid import cells
 
 LEVEL = 12
 WINDOW_SEC = 900
-RUNAWAY = 30_000.0  # 15 min × 2 km/min
+# 15 min × 2 km/min, computed as the kernel computes it: the float
+# product is 30000.000000000004
+RUNAWAY = proximity.runaway_distance_m(WINDOW_SEC)
 
 
 def _cell(lat, lon):
@@ -53,6 +55,11 @@ def _cand(spark, pairs):
     return spark.createDataFrame(pd.DataFrame(pairs, columns=["u", "v"]).astype("int64"))
 
 
+def _cfg(**kw):
+    """A ``SlimConfig`` at the tests' level and window."""
+    return SlimConfig(level=LEVEL, window_min=WINDOW_SEC / 60, **kw)
+
+
 def _score(spark, e_rows, i_rows, pairs, **kw):
     kw.setdefault("use_idf", False)
     kw.setdefault("use_norm", False)
@@ -61,7 +68,7 @@ def _score(spark, e_rows, i_rows, pairs, **kw):
         _bins(spark, i_rows),
         _cand(spark, pairs),
         stats=_stats(e_rows, i_rows),
-        cfg=SlimConfig(level=LEVEL, window_min=WINDOW_SEC / 60, **kw),
+        cfg=_cfg(**kw),
     ).toPandas()
     return out.set_index(["u", "v"]).sort_index()
 
@@ -232,7 +239,7 @@ def tied_partition(draw):
     return [pdf.iloc[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _reference_pair(pdf, *, pairing, use_mfn, use_idf, use_norm):
+def _reference_pair(pdf, *, pairing, use_idf, use_norm):
     """Alg. 1 for one (u, v), one window and one pick at a time."""
     d = cells.min_distance_m(pdf["cell_e"].to_numpy(), pdf["cell_i"].to_numpy(), LEVEL)
     p = prox(d, RUNAWAY)
@@ -257,7 +264,7 @@ def _reference_pair(pdf, *, pairing, use_mfn, use_idf, use_norm):
         included = set(range(len(pdf)))
     else:
         mnn = greedy(1)
-        included = mnn | {j for j in greedy(-1) if alibi[j]} if use_mfn else mnn
+        included = mnn | {j for j in greedy(-1) if alibi[j]} if pairing == "mnn_mfn" else mnn
     score = math.fsum(p[j] * w[j] for j in included)
     if use_norm:
         score = score / (pdf["L_u"].iat[0] * pdf["L_v"].iat[0])
@@ -265,14 +272,13 @@ def _reference_pair(pdf, *, pairing, use_mfn, use_idf, use_norm):
 
 
 def _kernel(batches, **switches):
-    kernel = similarity._make_kernel(level=LEVEL, runaway_m=RUNAWAY, **switches)
+    kernel = similarity._make_kernel(_cfg(**switches))
     return pd.concat(list(kernel(iter(batches))), ignore_index=True)
 
 
 SWITCHES = [
-    dict(pairing=pairing, use_mfn=mfn, use_idf=idf, use_norm=norm)
-    for pairing in ("mnn", "all")
-    for mfn in (False, True)
+    dict(pairing=pairing, use_idf=idf, use_norm=norm)
+    for pairing in ("mnn_mfn", "mnn", "all")
     for idf in (False, True)
     for norm in (False, True)
 ]
@@ -283,8 +289,8 @@ class TestKernelRowOrder:
     @given(tied_group())
     def test_scores_invariant_under_row_permutation(self, group):
         pdf, shuffled = group
-        for use_mfn in (False, True):
-            switches = dict(pairing="mnn", use_mfn=use_mfn, use_idf=True, use_norm=False)
+        for pairing in ("mnn", "mnn_mfn"):
+            switches = dict(pairing=pairing, use_idf=True, use_norm=False)
             a = _kernel([pdf], **switches).iloc[0]
             b = _kernel([shuffled], **switches).iloc[0]
             assert b["n_pairs"] == a["n_pairs"]
@@ -341,7 +347,7 @@ class TestKernelOracle:
                 assert (row["score"], row["n_pairs"], row["n_alibi"], row["n_comp"]) == want, switches
 
     def test_no_rows_no_output(self):
-        assert list(similarity._make_kernel(level=LEVEL, runaway_m=RUNAWAY, **SWITCHES[0])(iter([]))) == []
+        assert list(similarity._make_kernel(_cfg(**SWITCHES[0]))(iter([]))) == []
 
 
 class TestPairScores:
@@ -392,8 +398,8 @@ class TestPairScores:
         # the same window; MNN alone scores positive, MFN adds penalty
         e_rows = [(0, 0, CELL_A), (1, 5, CELL_B)]
         i_rows = [(10, 0, CELL_A), (10, 0, CELL_FAR)]
-        with_mfn = _score(spark, e_rows, i_rows, [(0, 10)], use_mfn=True)
-        without = _score(spark, e_rows, i_rows, [(0, 10)], use_mfn=False)
+        with_mfn = _score(spark, e_rows, i_rows, [(0, 10)], pairing="mnn_mfn")
+        without = _score(spark, e_rows, i_rows, [(0, 10)], pairing="mnn")
         assert without.loc[(0, 10), "score"] == pytest.approx(1.0)
         assert with_mfn.loc[(0, 10), "score"] < without.loc[(0, 10), "score"]
         assert with_mfn.loc[(0, 10), "n_alibi"] == 1
@@ -403,8 +409,8 @@ class TestPairScores:
         # it again
         e_rows = [(0, 0, CELL_A), (1, 5, CELL_B)]
         i_rows = [(10, 0, CELL_FAR)]
-        w = _score(spark, e_rows, i_rows, [(0, 10)], use_mfn=True)
-        wo = _score(spark, e_rows, i_rows, [(0, 10)], use_mfn=False)
+        w = _score(spark, e_rows, i_rows, [(0, 10)], pairing="mnn_mfn")
+        wo = _score(spark, e_rows, i_rows, [(0, 10)], pairing="mnn")
         assert w.loc[(0, 10), "score"] == pytest.approx(wo.loc[(0, 10), "score"])
 
     def test_all_pairs_overcounts(self, spark):
@@ -412,7 +418,7 @@ class TestPairScores:
         e_rows = [(0, 0, CELL_A), (0, 0, CELL_B), (1, 5, CELL_B)]
         i_rows = [(10, 0, CELL_A)]
         mnn = _score(spark, e_rows, i_rows, [(0, 10)])
-        allp = _score(spark, e_rows, i_rows, [(0, 10)], pairing="all", use_mfn=False)
+        allp = _score(spark, e_rows, i_rows, [(0, 10)], pairing="all")
         assert mnn.loc[(0, 10), "n_pairs"] == 1
         assert allp.loc[(0, 10), "n_pairs"] == 2
         assert allp.loc[(0, 10), "score"] == pytest.approx(

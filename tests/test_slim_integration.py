@@ -45,6 +45,7 @@ class TestBruteForceCab:
     def test_threshold_fitted(self, cab_bf):
         assert cab_bf.threshold is not None
         assert np.isfinite(cab_bf.threshold.threshold)
+        assert cab_bf.threshold.bimodal
         g = cab_bf.threshold.gmm
         assert g.mu[1] >= g.mu[0]
 
@@ -149,13 +150,24 @@ class TestAblationDirections:
     def test_all_pairs_more_comparisons_counted_same(self, cab_records):
         rec_e, rec_i = cab_records
         mnn = run_slim(rec_e, rec_i, SlimConfig(use_lsh=False))
-        allp = run_slim(
-            rec_e, rec_i, SlimConfig(use_lsh=False, pairing="all", use_mfn=False)
-        )
+        allp = run_slim(rec_e, rec_i, SlimConfig(use_lsh=False, pairing="all"))
         # n_comp counts examined pairs — identical join either way
         assert mnn.n_comparisons == allp.n_comparisons
         # but all-pairs includes every pair in the aggregation
         assert allp.scores["n_pairs"].sum() > mnn.scores["n_pairs"].sum()
+
+    def test_mnn_only_drops_alibi_pairs(self, cab_records, cab_bf):
+        # MFN only adds alibi pairs, whose proximity is negative and idf
+        # >= 0, to the MNN pairs; fsum rounds exactly, so every default
+        # score is at most its MNN-only score
+        rec_e, rec_i = cab_records
+        mnn = run_slim(rec_e, rec_i, SlimConfig(use_lsh=False, pairing="mnn"))
+        a, b = _sorted(cab_bf.scores), _sorted(mnn.scores)
+        pd.testing.assert_frame_equal(a[["u", "v", "n_comp"]], b[["u", "v", "n_comp"]])
+        assert (b["score"] >= a["score"]).all()
+        assert (b["n_alibi"] <= a["n_alibi"]).all()
+        assert (b["n_pairs"] <= a["n_pairs"]).all()
+        assert (b["score"] != a["score"]).any()
 
 
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
@@ -311,6 +323,7 @@ class TestDegenerateInstances:
         pd.testing.assert_frame_equal(res.links, res.matched)
         assert res.threshold.separation == 0
         assert res.threshold.expected_f1 == 1
+        assert not res.threshold.bimodal
 
 
 class TestInputContract:
@@ -364,10 +377,14 @@ class TestInputContract:
             (SlimConfig, {"alpha_m_per_sec": 0.0}, r"alpha \(0.0 m/s\) must be positive"),
             (SlimConfig, {"b": 1.5}, r"b must be in \[0, 1\]"),
             (SlimConfig, {"b": -0.1}, r"b must be in \[0, 1\]"),
+            (SlimConfig, {"pairing": "bogus"}, r"pairing must be one of \('mnn_mfn', 'mnn', 'all'\), got 'bogus'"),
+            (SlimConfig, {"level": 25}, r"level must be in \[0, 24\], got 25"),
+            (SlimConfig, {"level": -1}, r"level must be in \[0, 24\], got -1"),
             (LshConfig, {"step": 0}, r"step \(0\) and n_buckets \(4096\) must be >= 1"),
             (LshConfig, {"n_buckets": 0}, r"step \(48\) and n_buckets \(0\) must be >= 1"),
             (LshConfig, {"threshold": 0.0}, r"threshold must be in \(0, 1\)"),
             (LshConfig, {"threshold": 1.0}, r"threshold must be in \(0, 1\)"),
+            (LshConfig, {"level": 25}, r"level must be in \[0, 24\], got 25"),
         ],
     )
     def test_bad_config_rejected_before_any_job(self, config, kwargs, message):

@@ -65,7 +65,7 @@ class TestSelfSimilarityRatio:
         rec_e, _ = cab_records
         full = tuning.self_similarity_ratio(rec_e, SlimConfig(level=14), **PROBE)
         all_pairs = tuning.self_similarity_ratio(
-            rec_e, SlimConfig(level=14, pairing="all", use_mfn=False), **PROBE
+            rec_e, SlimConfig(level=14, pairing="all"), **PROBE
         )
         assert all_pairs != full
 
