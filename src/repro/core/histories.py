@@ -59,14 +59,14 @@ class SideTotals:
 class CorpusStats:
     """Corpus statistics of a linkage instance, from one aggregate.
 
-    ``qw_span`` is the first and last LSH query window over both
-    sides' records: ``None`` when no query window length was given or
-    there are no records.
+    ``ts_span`` is the first and last ``ts`` over both sides' records,
+    ``None`` when there are none; :func:`repro.core.lsh.plan` derives
+    the LSH query-window span from it.
     """
 
     e: SideTotals
     i: SideTotals
-    qw_span: tuple[int, int] | None
+    ts_span: tuple[int, int] | None
 
 
 _INTEGER_TYPES = (T.ByteType, T.ShortType, T.IntegerType, T.LongType)
@@ -78,9 +78,8 @@ def corpus_stats(
     *,
     level: int,
     window_sec: int,
-    query_sec: int | None = None,
 ) -> CorpusStats:
-    """Both sides' totals and the query-window span; runs one Spark job.
+    """Both sides' totals and the records' time span; runs one Spark job.
 
     The same aggregate enforces the records' contract: no null entity,
     ts, lat or lon, lat within [−90, 90] and lon within [−180, 180]
@@ -106,7 +105,7 @@ def corpus_stats(
         ("a lat outside [-90, 90]", ~F.col("lat").between(-90.0, 90.0)),
         ("a lon outside [-180, 180]", ~F.col("lon").between(-180.0, 180.0)),
     )
-    aggs = []
+    aggs = [F.min("ts").alias("ts_lo"), F.max("ts").alias("ts_hi")]
     for side in ("e", "i"):
         mine = F.col("side") == side
         entity = F.when(mine, F.col("entity"))
@@ -115,11 +114,6 @@ def corpus_stats(
             F.countDistinct(entity, "window", "cell").alias(f"n_bins_{side}"),
         ]
         aggs += [F.count_if(mine & bad).alias(f"bad_{side}{k}") for k, (_, bad) in enumerate(checks)]
-    if query_sec is not None:
-        aggs += [
-            F.floor(F.min("ts") / query_sec).alias("qw_lo"),
-            F.floor(F.max("ts") / query_sec).alias("qw_hi"),
-        ]
     row = binned.agg(*aggs).collect()[0].asDict()
     bad = [
         f"{row[f'bad_{side}{k}']} records_{side} rows have {what}"
@@ -129,13 +123,10 @@ def corpus_stats(
     ]
     if bad:
         raise ValueError("invalid records: " + "; ".join(bad))
-    span = None
-    if query_sec is not None and row["qw_lo"] is not None:
-        span = (int(row["qw_lo"]), int(row["qw_hi"]))
     return CorpusStats(
         e=SideTotals(row["n_entities_e"], row["n_bins_e"]),
         i=SideTotals(row["n_entities_i"], row["n_bins_i"]),
-        qw_span=span,
+        ts_span=None if row["ts_lo"] is None else (row["ts_lo"], row["ts_hi"]),
     )
 
 
@@ -149,13 +140,14 @@ def norm_factors(bins: DataFrame, totals: SideTotals, *, b: float) -> DataFrame:
     :func:`build_bins` emits, so that |H_u| is the row count of entity
     u, a window over entity. avg|H| is
     ``totals.n_bins / totals.n_entities``, a literal from
-    :func:`corpus_stats`. Returns the input rows with ``L`` added;
+    :func:`corpus_stats`; a side with no entities has no rows, so it
+    divides by 1 instead of 0. Returns the input rows with ``L`` added;
     runs no Spark action.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must be in [0, 1]")
     n_bins = F.count(F.lit(1)).over(Window.partitionBy("entity"))
-    avg_bins = F.lit(totals.n_bins) / F.lit(totals.n_entities)
+    avg_bins = F.lit(totals.n_bins) / F.lit(max(totals.n_entities, 1))
     return bins.withColumn("L", F.lit(1.0 - b) + F.lit(b) * n_bins / avg_bins)
 
 

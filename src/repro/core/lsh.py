@@ -148,16 +148,19 @@ class LshPlan:
     qw_min: int
 
 
-def plan(qw_span: tuple[int, int] | None, *, cfg: LshConfig) -> LshPlan:
+def plan(ts_span: tuple[int, int] | None, *, window_sec: int, cfg: LshConfig) -> LshPlan:
     """Derive signature length and banding from the data's time span.
 
-    ``qw_span`` is the first and last query window over both sides'
-    records (:func:`repro.core.histories.corpus_stats`), ``None`` when
-    there are none. Pure arithmetic: runs no Spark job.
+    ``ts_span`` is the first and last ``ts`` over both sides' records
+    (:func:`repro.core.histories.corpus_stats`), ``None`` when there
+    are none. Their query windows of ``window_sec · cfg.step`` seconds
+    are computed as :func:`signatures`' ``qw`` column computes them: a
+    double division, then the floor. Pure arithmetic: runs no Spark job.
     """
-    if qw_span is None:  # no records on either side
+    if ts_span is None:  # no records on either side
         return LshPlan(signature_len=0, n_bands=0, rows_per_band=0, qw_min=0)
-    qw_min, qw_max = qw_span
+    query_sec = float(window_sec * cfg.step)
+    qw_min, qw_max = (math.floor(float(ts) / query_sec) for ts in ts_span)
     s = qw_max - qw_min + 1
     b = n_bands(s, cfg.threshold)
     r = math.ceil(s / b)
@@ -170,18 +173,18 @@ def lsh_candidates(
     *,
     window_sec: int,
     cfg: LshConfig,
-    qw_span: tuple[int, int] | None,
+    ts_span: tuple[int, int] | None,
 ) -> tuple[DataFrame, LshPlan]:
     """Candidate entity pairs ``(u, v)`` sharing a (band, bucket).
 
     This is the paper's filtering step: only these pairs proceed to
-    similarity scoring. ``qw_span`` is :func:`plan`'s span, for query
-    windows of ``window_sec · cfg.step`` seconds. Returns the distinct
-    candidate relation, hash-partitioned by ``u`` so that the scorer's
-    join on ``u`` reuses that shuffle, plus the banding plan (for
-    reporting); runs no Spark job.
+    similarity scoring. ``ts_span`` is :func:`plan`'s span of both
+    sides' records. Returns the distinct candidate relation,
+    hash-partitioned by ``u`` so that the scorer's join on ``u`` reuses
+    that shuffle, plus the banding plan (for reporting); runs no Spark
+    job.
     """
-    p = plan(qw_span, cfg=cfg)
+    p = plan(ts_span, window_sec=window_sec, cfg=cfg)
     sig_e = signatures(records_e, level=cfg.level, window_sec=window_sec, step=cfg.step)
     sig_i = signatures(records_i, level=cfg.level, window_sec=window_sec, step=cfg.step)
     be = band_buckets(sig_e, qw_min=p.qw_min, r=p.rows_per_band, n_buckets=cfg.n_buckets)

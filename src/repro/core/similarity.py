@@ -33,7 +33,9 @@ is sequential *within a window* but independent *across windows*, so
 the kernel runs it as vectorized rounds: each round picks the current
 nearest (furthest) free pair of every window simultaneously —
 identical to the paper's one-pair-at-a-time loop, with no per-window
-Python iteration.
+Python iteration. Nothing is sorted for it: the expansion already
+emits each window's bin pairs together and in (E bin, I bin) order,
+which is the tie order, so a round is one minimum per window.
 """
 from __future__ import annotations
 
@@ -60,12 +62,6 @@ _KERNEL_SCHEMA = (
 Pairing = Literal["mnn_mfn", "mnn", "all"]
 
 
-def empty_scores() -> pd.DataFrame:
-    """:func:`pair_scores`' columns, as ``toPandas`` types them, with no rows."""
-    cols = [c.split() for c in _KERNEL_SCHEMA.split(", ")]
-    return pd.DataFrame({name: pd.Series(dtype={"long": "int64", "double": "float64"}[t]) for name, t in cols})
-
-
 def all_pairs(bins_e: DataFrame, bins_i: DataFrame) -> DataFrame:
     """Brute-force candidate relation: every (u, v) entity pair."""
     ue = bins_e.select(F.col("entity").alias("u")).distinct()
@@ -88,24 +84,29 @@ def greedy_select_mask(
     used, until the smaller side is exhausted. Windows are independent,
     so one pick per window per round reproduces the sequential greedy.
     ``win`` identifies a window of one entity pair; ``eid``/``iid``
-    identify a bin of it, ordered like the bins' cells. Distance ties
-    go to the smallest ``(eid, iid)``, so the selection depends only on
-    the bins, never on the order of the rows. The rows are sorted once;
-    each round takes every window's first row and drops the rows whose
-    bins it used.
+    identify a bin of it, ordered like the bins' cells.
+
+    Precondition: each window's rows are contiguous and in ``(eid,
+    iid)`` order, as :func:`within_window_pairs` emits them. Each round
+    takes every window's smallest key (``d``, or ``−d`` for MFN) over
+    the remaining rows, in input order, and picks the window's first
+    row holding it, so distance ties go to the smallest ``(eid, iid)``
+    and the selection depends only on the bins. The round then drops
+    the rows whose bins it used; no row is ever sorted.
     """
     sel = np.zeros(d.size, dtype=bool)
     if d.size == 0:
         return sel
     key = -d if furthest else d
-    rows = np.lexsort((iid, eid, key, win))
+    rows = np.arange(d.size)
     taken_e = np.zeros(int(eid.max()) + 1, dtype=bool)
     taken_i = np.zeros(int(iid.max()) + 1, dtype=bool)
     while rows.size:
-        w = win[rows]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = w[1:] != w[:-1]
-        winners = rows[first]
+        w, k = win[rows], key[rows]
+        starts = np.flatnonzero(np.r_[True, w[1:] != w[:-1]])
+        low = np.repeat(np.minimum.reduceat(k, starts), np.diff(starts, append=rows.size))
+        at_low = np.where(k == low, np.arange(rows.size), rows.size)
+        winners = rows[np.minimum.reduceat(at_low, starts)]
         sel[winners] = True
         taken_e[eid[winners]] = True
         taken_i[iid[winners]] = True
@@ -183,8 +184,9 @@ def _make_kernel(cfg: SlimConfig):
         if cfg.pairing == "all":
             included = np.ones(d.size, dtype=bool)
         else:
-            # a bin's position in its sorted side rises with its cell
-            # within a window, as greedy_select_mask's tie rule needs
+            # each group's pairs come contiguous and in (eid, iid)
+            # order, and a bin's position rises with its cell, so
+            # greedy_select_mask breaks ties on the cells
             mnn = greedy_select_mask(gid, eid, iid, d, furthest=False)
             included = mnn
             if cfg.pairing == "mnn_mfn":

@@ -98,28 +98,19 @@ def run_slim(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> Sli
     :func:`repro.core.histories.corpus_stats`.
     """
     t0 = time.monotonic()
-    stats = histories.corpus_stats(
-        records_e,
-        records_i,
-        level=cfg.level,
-        window_sec=cfg.window_sec,
-        query_sec=cfg.window_sec * cfg.lsh.step if cfg.use_lsh else None,
-    )
+    stats = histories.corpus_stats(records_e, records_i, level=cfg.level, window_sec=cfg.window_sec)
     bins_e = histories.build_bins(records_e, level=cfg.level, window_sec=cfg.window_sec)
     bins_i = histories.build_bins(records_i, level=cfg.level, window_sec=cfg.window_sec)
 
     lsh_plan: LshPlan | None = None
     if cfg.use_lsh:
         candidates, lsh_plan = lsh_candidates(
-            records_e, records_i, window_sec=cfg.window_sec, cfg=cfg.lsh, qw_span=stats.qw_span
+            records_e, records_i, window_sec=cfg.window_sec, cfg=cfg.lsh, ts_span=stats.ts_span
         )
     else:
         candidates = similarity.all_pairs(bins_e, bins_i)
 
-    if stats.e.n_entities and stats.i.n_entities:
-        scored = similarity.pair_scores(bins_e, bins_i, candidates, stats=stats, cfg=cfg).toPandas()
-    else:  # an empty side links nothing
-        scored = similarity.empty_scores()
+    scored = similarity.pair_scores(bins_e, bins_i, candidates, stats=stats, cfg=cfg).toPandas()
     # every candidate gets a row; those sharing no window score 0 and
     # stay out of the scores
     n_candidates = len(scored)

@@ -50,16 +50,14 @@ def run(spark: SparkSession, *, dataset: str = "cab", scale: str = "test", seed:
     bins_e = histories.build_bins(rec_e, level=level, window_sec=window_sec).cache()
     bins_i = histories.build_bins(rec_i, level=level, window_sec=window_sec).cache()
     comp_bf = histories.comparison_count_all_pairs(bins_e, bins_i)
-    stats = histories.corpus_stats(
-        rec_e, rec_i, level=level, window_sec=window_sec, query_sec=window_sec * step
-    )
+    stats = histories.corpus_stats(rec_e, rec_i, level=level, window_sec=window_sec)
 
     rows = []
     for t in grid["thresholds"]:
         for nb in grid["bucket_counts"]:
             cfg = LshConfig(step=step, threshold=t, n_buckets=nb)
             cand, plan = lsh_candidates(
-                rec_e, rec_i, window_sec=window_sec, cfg=cfg, qw_span=stats.qw_span
+                rec_e, rec_i, window_sec=window_sec, cfg=cfg, ts_span=stats.ts_span
             )
             cand = cand.cache()
             n_cand = cand.count()

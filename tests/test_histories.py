@@ -82,22 +82,18 @@ def _totals(df):
 class TestCorpusStats:
     def test_totals_and_span(self, tiny_records):
         df, pdf = tiny_records
-        stats = histories.corpus_stats(df, df.where("entity < 3"), level=12, window_sec=900, query_sec=3600)
+        stats = histories.corpus_stats(df, df.where("entity < 3"), level=12, window_sec=900)
         bins = histories.build_bins(df, level=12, window_sec=900)
         assert stats.e == histories.SideTotals(pdf["entity"].nunique(), bins.count())
         assert stats.i == histories.SideTotals(3, bins.where("entity < 3").count())
-        assert stats.qw_span == (pdf["ts"].min() // 3600, pdf["ts"].max() // 3600)
-
-    def test_no_query_window_no_span(self, tiny_records):
-        df, _ = tiny_records
-        assert histories.corpus_stats(df, df, level=12, window_sec=900).qw_span is None
+        assert stats.ts_span == (pdf["ts"].min(), pdf["ts"].max())
 
     def test_empty_side(self, spark, tiny_records):
         df, _ = tiny_records
         none = spark.createDataFrame([], df.schema)
-        stats = histories.corpus_stats(none, none, level=12, window_sec=900, query_sec=3600)
+        stats = histories.corpus_stats(none, none, level=12, window_sec=900)
         assert stats == histories.CorpusStats(
-            histories.SideTotals(0, 0), histories.SideTotals(0, 0), qw_span=None
+            histories.SideTotals(0, 0), histories.SideTotals(0, 0), ts_span=None
         )
 
 

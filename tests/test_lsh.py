@@ -158,19 +158,23 @@ class TestBandBuckets:
 
 def _candidates(rec_e, rec_i, cfg):
     """``lsh_candidates`` over 15-minute windows, with the records' span."""
-    stats = histories.corpus_stats(rec_e, rec_i, level=12, window_sec=900, query_sec=900 * cfg.step)
-    return lsh.lsh_candidates(rec_e, rec_i, window_sec=900, cfg=cfg, qw_span=stats.qw_span)
+    stats = histories.corpus_stats(rec_e, rec_i, level=12, window_sec=900)
+    return lsh.lsh_candidates(rec_e, rec_i, window_sec=900, cfg=cfg, ts_span=stats.ts_span)
 
 
 class TestPlan:
     def test_span_arithmetic(self):
-        p = lsh.plan((3, 8), cfg=lsh.LshConfig(threshold=0.6))
+        # 1-hour query windows: ts 3·3600 + 5 is in window 3, 9·3600 − 1 in 8
+        p = lsh.plan((3 * 3600 + 5, 9 * 3600 - 1), window_sec=900, cfg=lsh.LshConfig(step=4, threshold=0.6))
         assert (p.signature_len, p.qw_min) == (6, 3)
         assert p.n_bands == lsh.n_bands(6, 0.6)
         assert p.rows_per_band == math.ceil(6 / p.n_bands)
+        # a window index is floored, so ts −1 is in window −1
+        p = lsh.plan((-1, 3600), window_sec=900, cfg=lsh.LshConfig(step=4))
+        assert (p.signature_len, p.qw_min) == (3, -1)
 
     def test_no_span_empty_plan(self):
-        assert lsh.plan(None, cfg=lsh.LshConfig()) == lsh.LshPlan(0, 0, 0, 0)
+        assert lsh.plan(None, window_sec=900, cfg=lsh.LshConfig()) == lsh.LshPlan(0, 0, 0, 0)
 
 
 class TestCandidates:
@@ -186,6 +190,11 @@ class TestCandidates:
             plan.signature_len / plan.n_bands
         )
         assert len(cpdf) == len(cpdf.drop_duplicates())
+        # the plan's span is the query windows the signatures hold
+        qw = pd.concat(
+            lsh.signatures(r, level=cfg.level, window_sec=900, step=cfg.step).toPandas()["qw"] for r in (rec_e, rec_i)
+        )
+        assert (plan.qw_min, plan.qw_min + plan.signature_len - 1) == (qw.min(), qw.max())
 
     def test_no_records_empty_plan(self, spark, cab_records):
         rec_e, _ = cab_records

@@ -39,7 +39,7 @@ TIED_CELLS = [
 def _bins(spark, rows):
     """rows: (entity, window, cell) triples → bins DataFrame."""
     pdf = pd.DataFrame(rows, columns=["entity", "window", "cell"])
-    return spark.createDataFrame(pdf.astype({"entity": "int64", "window": "int64", "cell": "int64"}))
+    return spark.createDataFrame(pdf.astype("int64"), schema="entity long, window long, cell long")
 
 
 def _totals(rows):
@@ -48,7 +48,7 @@ def _totals(rows):
 
 
 def _stats(e_rows, i_rows):
-    return histories.CorpusStats(e=_totals(e_rows), i=_totals(i_rows), qw_span=None)
+    return histories.CorpusStats(e=_totals(e_rows), i=_totals(i_rows), ts_span=None)
 
 
 def _cand(spark, pairs):
@@ -128,8 +128,12 @@ class TestGreedySelect:
         d = [5.0, 7.0]
         assert list(self._mask(win, eid, iid, d)) == [True, True]
 
-    def test_matches_sequential_reference(self):
-        # vectorized rounds must equal a literal sequential greedy
+    @pytest.mark.parametrize("furthest", [False, True])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_sequential_reference(self, furthest, tied):
+        # vectorized rounds must equal a literal sequential greedy, also
+        # when distances tie on whole multiples of one length, as grid
+        # distances do
         g = np.random.default_rng(0)
         for trial in range(10):
             n_w = g.integers(1, 4)
@@ -138,15 +142,17 @@ class TestGreedySelect:
                 ne, ni = g.integers(1, 5, 2)
                 for e in range(ne):
                     for i in range(ni):
-                        rows.append((w, w * 10 + e, w * 10 + i, float(g.random())))
+                        d = float(g.integers(0, 3)) * 1500.0 if tied else float(g.random())
+                        rows.append((w, w * 10 + e, w * 10 + i, d))
             win, eid, iid, d = map(np.array, zip(*rows))
-            got = self._mask(win, eid, iid, d)
-            # reference: per window, repeatedly take global min pair
+            got = self._mask(win, eid, iid, d, furthest=furthest)
+            # reference: per window, repeatedly take the nearest (furthest)
+            # free pair; the stable sort leaves ties in (eid, iid) order
             want = np.zeros(len(rows), bool)
             for w in set(win):
                 idx = np.where(win == w)[0]
                 used_e, used_i = set(), set()
-                for j in idx[np.argsort(d[idx], kind="stable")]:
+                for j in idx[np.argsort(-d[idx] if furthest else d[idx], kind="stable")]:
                     if eid[j] not in used_e and iid[j] not in used_i:
                         want[j] = True
                         used_e.add(eid[j])
@@ -157,19 +163,22 @@ class TestGreedySelect:
         assert self._mask([], [], [], []).size == 0
 
     def test_ties_break_on_bins_not_rows(self):
-        # all four distances tie: the pick is the smallest (eid, iid),
-        # wherever that row sits
+        # rows come in (eid, iid) order, as the expansion emits them;
+        # of the tied pairs, each pass picks the smallest (eid, iid)
         win = [0, 0, 0, 0]
-        eid = [1, 0, 1, 0]
-        iid = [0, 0, 1, 1]
+        eid = [0, 0, 1, 1]
+        iid = [0, 1, 0, 1]
         d = [0.0] * 4
-        assert list(self._mask(win, eid, iid, d)) == [False, True, True, False]
-        assert list(self._mask(win, eid, iid, d, furthest=True)) == [
-            False,
-            True,
-            True,
-            False,
-        ]
+        assert list(self._mask(win, eid, iid, d)) == [True, False, False, True]
+        assert list(self._mask(win, eid, iid, d, furthest=True)) == [True, False, False, True]
+        # 2 × 3 bins: (0, 1), (1, 0) and (1, 2) tie nearest, and
+        # (0, 0), (0, 2) and (1, 1) tie furthest
+        win = [0] * 6
+        eid = [0, 0, 0, 1, 1, 1]
+        iid = [0, 1, 2, 0, 1, 2]
+        d = [4.0, 1.0, 4.0, 1.0, 4.0, 1.0]
+        assert list(self._mask(win, eid, iid, d)) == [False, True, False, True, False, False]
+        assert list(self._mask(win, eid, iid, d, furthest=True)) == [True, False, False, False, True, False]
 
 
 IDFS = st.sampled_from([0.5, 1.0, 2.0])
@@ -463,6 +472,30 @@ class TestPairScores:
         raw = 1.0  # single matching bin pair, exact cell match
         # i side: both entities have 1 bin ⇒ L_v = 1
         assert out.loc[(0, 10), "score"] == pytest.approx(raw / (L[0] * 1.0))
+
+    @pytest.mark.parametrize("empty", ["e", "i", "both"])
+    def test_empty_side_no_rows(self, spark, empty):
+        # a side with no entities has no bins, so every statistic of it
+        # is over no rows: the query plans and returns no pairs
+        e_rows = [] if empty in ("e", "both") else [(0, 0, CELL_A)]
+        i_rows = [] if empty in ("i", "both") else [(10, 0, CELL_A)]
+        bins_e, bins_i = _bins(spark, e_rows), _bins(spark, i_rows)
+        out = similarity.pair_scores(
+            bins_e,
+            bins_i,
+            similarity.all_pairs(bins_e, bins_i),
+            stats=_stats(e_rows, i_rows),
+            cfg=_cfg(use_idf=True, use_norm=True),
+        ).toPandas()
+        assert out.empty
+        assert out.dtypes.astype(str).to_dict() == {
+            "u": "int64",
+            "v": "int64",
+            "score": "float64",
+            "n_pairs": "int64",
+            "n_alibi": "int64",
+            "n_comp": "int64",
+        }
 
     def test_self_similarity_is_max(self, spark, cab_records):
         # an entity is at least as similar to itself as to anyone else

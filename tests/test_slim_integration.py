@@ -101,10 +101,8 @@ class TestLshCab:
         # the same LSH candidates; they must be one number
         rec_e, rec_i = cab_records
         cfg = CAB_LSH
-        stats = histories.corpus_stats(
-            rec_e, rec_i, level=cfg.level, window_sec=cfg.window_sec, query_sec=cfg.window_sec * cfg.lsh.step
-        )
-        cand, _ = lsh_candidates(rec_e, rec_i, window_sec=cfg.window_sec, cfg=cfg.lsh, qw_span=stats.qw_span)
+        stats = histories.corpus_stats(rec_e, rec_i, level=cfg.level, window_sec=cfg.window_sec)
+        cand, _ = lsh_candidates(rec_e, rec_i, window_sec=cfg.window_sec, cfg=cfg.lsh, ts_span=stats.ts_span)
         bins_e, bins_i = (histories.build_bins(r, level=cfg.level, window_sec=cfg.window_sec) for r in (rec_e, rec_i))
         assert cab_lsh.n_comparisons > 0
         assert cab_lsh.n_comparisons == histories.comparison_count_candidates(bins_e, bins_i, cand)
