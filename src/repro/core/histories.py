@@ -57,19 +57,38 @@ class SideTotals:
 
 @dataclass(frozen=True)
 class CorpusStats:
-    """Corpus statistics of a linkage instance, from one aggregate.
+    """Corpus statistics of a linkage instance, from one per-entity aggregate.
 
     ``ts_span`` is the first and last ``ts`` over both sides' records,
     ``None`` when there are none; :func:`repro.core.lsh.plan` derives
-    the LSH query-window span from it.
+    the LSH query-window span from it. ``entities_e`` holds the E
+    side's entity ids in ascending order, from which
+    :func:`repro.core.tuning.self_similarity_ratio` draws its probes.
     """
 
     e: SideTotals
     i: SideTotals
     ts_span: tuple[int, int] | None
+    entities_e: tuple[int, ...] = ()
 
 
 _INTEGER_TYPES = (T.ByteType, T.ShortType, T.IntegerType, T.LongType)
+SIDES = ("e", "i")
+
+
+def tag_sides(records_e: DataFrame, records_i: DataFrame) -> DataFrame:
+    """Both sides' records as one relation ``(side, entity, ts, lat, lon)``.
+
+    ``side`` is ``"e"`` or ``"i"``. Consumers group by (side, entity),
+    so an entity id that occurs on both sides stays two entities, and
+    tell the sides apart inside aggregates rather than by a filter on
+    ``side``: Catalyst pushes such a filter through the union and
+    plans each side on its own again.
+    """
+    cols = ["entity", "ts", "lat", "lon"]
+    return records_e.select(F.lit(SIDES[0]).alias("side"), *cols).unionAll(
+        records_i.select(F.lit(SIDES[1]).alias("side"), *cols)
+    )
 
 
 def corpus_stats(
@@ -79,24 +98,23 @@ def corpus_stats(
     level: int,
     window_sec: int,
 ) -> CorpusStats:
-    """Both sides' totals and the records' time span; runs one Spark job.
+    """Both sides' totals and the records' time span; runs two Spark jobs.
 
-    The same aggregate enforces the records' contract: no null entity,
-    ts, lat or lon, lat within [−90, 90] and lon within [−180, 180]
-    (``ValueError`` otherwise, as for a ``ts`` that is not of an
-    integer type, which the schema shows without a job). With nulls
-    rejected, ``countDistinct(entity, window, cell)`` counts exactly
-    the rows :func:`build_bins` emits.
+    Both sides' binned records are hash-partitioned by (side, entity)
+    and aggregated per (side, entity, window, cell), then per (side,
+    entity), in that one shuffle. The driver collects one row per
+    entity, with its bin count, first and last ``ts`` and contract
+    violations, and sums them. The same rows enforce the records'
+    contract: no null entity, ts, lat or lon, lat within [−90, 90] and
+    lon within [−180, 180] (``ValueError`` otherwise, as for a ``ts``
+    that is not of an integer type, which the schema shows without a
+    job). With nulls rejected, an entity's (window, cell) groups are
+    exactly the rows :func:`build_bins` emits for it.
     """
     for name, rec in (("records_e", records_e), ("records_i", records_i)):
         ts_type = rec.schema["ts"].dataType
         if not isinstance(ts_type, _INTEGER_TYPES):
             raise ValueError(f"{name}: ts must have an integer type, not {ts_type.simpleString()}")
-    cols = ["entity", "ts", "lat", "lon"]
-    both = records_e.select(F.lit("e").alias("side"), *cols).unionAll(
-        records_i.select(F.lit("i").alias("side"), *cols)
-    )
-    binned = both.select("*", *_bin_cols(level=level, window_sec=window_sec))
     checks = (
         (
             "a null entity, ts, lat or lon",
@@ -105,28 +123,48 @@ def corpus_stats(
         ("a lat outside [-90, 90]", ~F.col("lat").between(-90.0, 90.0)),
         ("a lon outside [-180, 180]", ~F.col("lon").between(-180.0, 180.0)),
     )
-    aggs = [F.min("ts").alias("ts_lo"), F.max("ts").alias("ts_hi")]
-    for side in ("e", "i"):
-        mine = F.col("side") == side
-        entity = F.when(mine, F.col("entity"))
-        aggs += [
-            F.countDistinct(entity).alias(f"n_entities_{side}"),
-            F.countDistinct(entity, "window", "cell").alias(f"n_bins_{side}"),
-        ]
-        aggs += [F.count_if(mine & bad).alias(f"bad_{side}{k}") for k, (_, bad) in enumerate(checks)]
-    row = binned.agg(*aggs).collect()[0].asDict()
+    per_entity = (
+        tag_sides(records_e, records_i)
+        .repartition("side", "entity")
+        .select(
+            "side",
+            "entity",
+            "ts",
+            *_bin_cols(level=level, window_sec=window_sec),
+            *(bad.alias(f"bad{k}") for k, (_, bad) in enumerate(checks)),
+        )
+        .groupBy("side", "entity", "window", "cell")
+        .agg(
+            F.min("ts").alias("ts_lo"),
+            F.max("ts").alias("ts_hi"),
+            *(F.count_if(f"bad{k}").alias(f"bad{k}") for k in range(len(checks))),
+        )
+        .groupBy("side", "entity")
+        .agg(
+            F.count(F.lit(1)).alias("n_bins"),
+            F.min("ts_lo").alias("ts_lo"),
+            F.max("ts_hi").alias("ts_hi"),
+            *(F.sum(f"bad{k}").alias(f"bad{k}") for k in range(len(checks))),
+        )
+        .collect()
+    )
+    rows = {side: [row for row in per_entity if row["side"] == side] for side in SIDES}
     bad = [
-        f"{row[f'bad_{side}{k}']} records_{side} rows have {what}"
-        for side in ("e", "i")
+        f"{n} records_{side} rows have {what}"
+        for side in SIDES
         for k, (what, _) in enumerate(checks)
-        if row[f"bad_{side}{k}"]
+        if (n := sum(row[f"bad{k}"] for row in rows[side]))
     ]
     if bad:
         raise ValueError("invalid records: " + "; ".join(bad))
+    totals = {side: SideTotals(len(rows[side]), sum(row["n_bins"] for row in rows[side])) for side in SIDES}
     return CorpusStats(
-        e=SideTotals(row["n_entities_e"], row["n_bins_e"]),
-        i=SideTotals(row["n_entities_i"], row["n_bins_i"]),
-        ts_span=None if row["ts_lo"] is None else (row["ts_lo"], row["ts_hi"]),
+        e=totals["e"],
+        i=totals["i"],
+        ts_span=(min(row["ts_lo"] for row in per_entity), max(row["ts_hi"] for row in per_entity))
+        if per_entity
+        else None,
+        entities_e=tuple(sorted(row["entity"] for row in rows["e"])),
     )
 
 

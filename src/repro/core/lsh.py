@@ -14,7 +14,9 @@ dominating-cell agreement above ``t`` land in the same bucket at least
 once with high probability. Bands are hashed into ``n_buckets``
 buckets; entities from the two datasets sharing a (band, bucket) become
 candidate pairs. A *finite* bucket count means unrelated bands can
-collide — exactly the effect the paper's Figure 9 sweeps.
+collide — exactly the effect the paper's Figure 9 sweeps. Both
+datasets share one set of buckets, so both go through the signature
+and banding stages as one relation, keyed by (side, entity).
 
 In the paper the dominating-cell query is served by the inner nodes of
 the history tree; here it is the same records relation aggregated at
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core import histories
 from repro.grid import cells
 
 LAMBERT_TOL = 1e-12  # relative Newton step that stops lambert_w
@@ -82,27 +85,32 @@ class LshConfig:
 
 
 def signatures(records: DataFrame, *, level: int, window_sec: int, step: int) -> DataFrame:
-    """Dominating-cell signature entries ``(entity, qw, cell)``.
+    """Dominating-cell signature entries ``(side, entity, qw, cell)``.
 
-    One row per (entity, query window) that has records; query window
-    ``qw`` spans ``step`` leaf windows. The dominating cell is the cell
-    holding the most of the entity's records in the query window; ties
-    go to the lowest cell id, so the result is deterministic. One
-    aggregate computes it: ``mode`` over the records' cells, whose
-    deterministic variant breaks ties on the smallest value. The
-    records are hash-partitioned by entity first, so this aggregate and
-    :func:`band_buckets`' per-entity one share that one shuffle.
+    ``records`` are :func:`repro.core.histories.tag_sides`' relation
+    ``(side, entity, ts, lat, lon)``; an entity is a (side, entity)
+    pair, so an id that occurs on both sides has two signatures. One
+    row per (side, entity, query window) that has records; query
+    window ``qw`` spans ``step`` leaf windows. The dominating cell is
+    the cell holding the most of the entity's records in the query
+    window; ties go to the lowest cell id, so the result is
+    deterministic. One aggregate computes it: ``mode`` over the
+    records' cells, whose deterministic variant breaks ties on the
+    smallest value. The records are hash-partitioned by (side, entity)
+    first, so this aggregate and :func:`band_buckets`' per-entity one
+    share that one shuffle.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
     return (
-        records.repartition("entity")
+        records.repartition("side", "entity")
         .select(
+            "side",
             "entity",
             F.floor(F.col("ts") / F.lit(int(window_sec * step))).alias("qw"),
             cells.encode_col(F.col("lat"), F.col("lon"), level).alias("cell"),
         )
-        .groupBy("entity", "qw")
+        .groupBy("side", "entity", "qw")
         .agg(F.mode("cell", deterministic=True).alias("cell"))
     )
 
@@ -110,23 +118,26 @@ def signatures(records: DataFrame, *, level: int, window_sec: int, step: int) ->
 def band_buckets(
     sigs: DataFrame, *, qw_min: int, r: int, n_buckets: int
 ) -> DataFrame:
-    """Hash each entity's bands to buckets: ``(entity, band, bucket)``.
+    """Hash each entity's bands to buckets: ``(side, entity, band, bucket)``.
 
     A band's content is the ordered list of (position, dominating cell)
     of its non-placeholder positions; bands that are all placeholders
     produce no row. Hashing includes the in-band position so that the
     same cell at different query windows hashes differently, exactly as
-    the paper's positional signatures do.
+    the paper's positional signatures do. The side is not hashed, so
+    equal bands of the two sides share a bucket.
     """
     sig = sigs.select(
+        "side",
         "entity",
         (F.col("qw") - F.lit(int(qw_min))).alias("pos"),
         "cell",
     ).withColumn("band", (F.col("pos") / F.lit(int(r))).cast("long"))
     return (
-        sig.groupBy("entity", "band")
+        sig.groupBy("side", "entity", "band")
         .agg(F.sort_array(F.collect_list(F.struct("pos", "cell"))).alias("content"))
         .select(
+            "side",
             "entity",
             "band",
             F.pmod(F.xxhash64(F.col("content")), F.lit(int(n_buckets))).alias("bucket"),
@@ -179,20 +190,28 @@ def lsh_candidates(
 
     This is the paper's filtering step: only these pairs proceed to
     similarity scoring. ``ts_span`` is :func:`plan`'s span of both
-    sides' records. Returns the distinct candidate relation,
-    hash-partitioned by ``u`` so that the scorer's join on ``u`` reuses
-    that shuffle, plus the banding plan (for reporting); runs no Spark
-    job.
+    sides' records. Both sides' records go through :func:`signatures`
+    and :func:`band_buckets` as one relation, so each stage runs once;
+    one ``groupBy(band, bucket)`` then collects each side's entities
+    and pairs every E entity with every I entity of the group. A pair
+    that shares several (band, bucket)s occurs once per shared group,
+    and the ``distinct`` removes the copies. Returns the distinct
+    candidate relation, hash-partitioned by ``u`` so that the scorer's
+    join on ``u`` reuses that shuffle, plus the banding plan (for
+    reporting); runs no Spark job.
     """
     p = plan(ts_span, window_sec=window_sec, cfg=cfg)
-    sig_e = signatures(records_e, level=cfg.level, window_sec=window_sec, step=cfg.step)
-    sig_i = signatures(records_i, level=cfg.level, window_sec=window_sec, step=cfg.step)
-    be = band_buckets(sig_e, qw_min=p.qw_min, r=p.rows_per_band, n_buckets=cfg.n_buckets)
-    bi = band_buckets(sig_i, qw_min=p.qw_min, r=p.rows_per_band, n_buckets=cfg.n_buckets)
+    sigs = signatures(
+        histories.tag_sides(records_e, records_i), level=cfg.level, window_sec=window_sec, step=cfg.step
+    )
+    buckets = band_buckets(sigs, qw_min=p.qw_min, r=p.rows_per_band, n_buckets=cfg.n_buckets)
+    # each side's entities of a group; a filter on side would split the plan
+    us, vs = (F.collect_list(F.when(F.col("side") == side, F.col("entity"))) for side in histories.SIDES)
     cand = (
-        be.select(F.col("entity").alias("u"), "band", "bucket")
-        .join(bi.select(F.col("entity").alias("v"), "band", "bucket"), ["band", "bucket"])
-        .select("u", "v")
+        buckets.groupBy("band", "bucket")
+        .agg(us.alias("us"), vs.alias("vs"))
+        .select(F.explode("us").alias("u"), "vs")
+        .select("u", F.explode("vs").alias("v"))
         .repartition("u")
         .distinct()
     )

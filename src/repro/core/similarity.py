@@ -14,11 +14,12 @@ All are read, with the level, window, α and b, from one
 :class:`~repro.core.slim.SlimConfig`, so a linkage and the level probe
 of :mod:`repro.core.tuning` score with the same parameters.
 
-Dataflow: one aggregate over both sides' records
-(:func:`repro.core.histories.corpus_stats`) gives each side's |U| and
-bin total, so idf per (window, cell) and L per entity are window
-counts over the bin rows with those totals as literals; no statistic
-needs an action of its own. Each side's bins are hash-partitioned by
+Dataflow: one per-entity aggregate over both sides' records
+(:func:`repro.core.histories.corpus_stats`, one shuffle and one
+collect) gives each side's |U| and bin total, so idf per (window,
+cell) and L per entity are window counts over the bin rows with those
+totals as literals; no statistic needs an action of its own.
+Each side's bins are hash-partitioned by
 (window, cell), which the idf window reuses; one ``groupBy(entity)``
 then gathers every entity's mobility history into arrays of windows,
 cells and idf, beside its L. The candidate relation is joined with the

@@ -71,13 +71,13 @@ def self_similarity_ratio(
     ``cfg``. Normalization and idf are evaluated with the full dataset
     statistics.
     """
+    stats = histories.corpus_stats(records, records, level=cfg.level, window_sec=cfg.window_sec)
     # sorted, so the draw does not depend on the shuffle's row order
-    ents = sorted(r["entity"] for r in records.select("entity").distinct().collect())
+    ents = stats.entities_e
     rng = np.random.default_rng(seed)
     probes = rng.choice(ents, size=min(n_probe, len(ents)), replace=False)
     others = rng.choice(ents, size=min(n_others, len(ents)), replace=False)
     spark = records.sparkSession
-    stats = histories.corpus_stats(records, records, level=cfg.level, window_sec=cfg.window_sec)
     bins = histories.build_bins(records, level=cfg.level, window_sec=cfg.window_sec)
     cand = spark.createDataFrame(
         [(int(u), int(v)) for u in probes for v in set(others) | set(probes)],

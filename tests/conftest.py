@@ -3,6 +3,8 @@
 Session-scoped so the (deterministic) synthetic corpora and their
 Spark views are built once; individual tests must not mutate them.
 """
+import itertools
+
 import pytest
 
 from repro.core import histories
@@ -52,3 +54,23 @@ def sm_pair():
 def sm_records(spark, sm_pair):
     rec_e, rec_i = sm_pair.to_spark(spark)
     return rec_e.cache(), rec_i.cache()
+
+
+_job_groups = itertools.count()
+
+
+@pytest.fixture
+def spark_jobs(spark):
+    """``spark_jobs(call)``: the number of Spark jobs one ``call()`` runs."""
+    sc = spark.sparkContext
+
+    def count(call) -> int:
+        group = f"test-spark-jobs-{next(_job_groups)}"
+        sc.setJobGroup(group, group)
+        try:
+            call()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    return count

@@ -96,6 +96,16 @@ class TestCorpusStats:
             histories.SideTotals(0, 0), histories.SideTotals(0, 0), ts_span=None
         )
 
+    def test_sorted_entities(self, tiny_records):
+        df, pdf = tiny_records
+        stats = histories.corpus_stats(df.where("entity > 2"), df, level=12, window_sec=900)
+        assert stats.entities_e == tuple(e for e in sorted(pdf["entity"].unique()) if e > 2)
+
+    def test_two_jobs(self, spark_jobs, tiny_records):
+        # one shuffle to per-entity rows, one collect of them
+        df, _ = tiny_records
+        assert spark_jobs(lambda: histories.corpus_stats(df, df, level=12, window_sec=900)) == 2
+
 
 class TestNormFactors:
     def test_oracle(self, tiny_records):

@@ -72,6 +72,7 @@ def sig_records(spark):
     pdf = pd.DataFrame(rows, columns=["entity", "ts", "lat", "lon"]).astype(
         {"entity": "int64", "ts": "int64"}
     )
+    pdf.insert(0, "side", "e")
     return spark.createDataFrame(pdf), pdf
 
 
@@ -97,12 +98,12 @@ class TestSignatures:
         pdf2["cell"] = cells.encode(pdf2["lat"].to_numpy(), pdf2["lon"].to_numpy(), 12)
         oracle.assert_equivalent(
             sigs,
-            "SELECT entity, qw, cell FROM ("
-            "  SELECT entity, qw, cell, row_number() OVER ("
-            "    PARTITION BY entity, qw ORDER BY count(*) DESC, cell ASC"
-            "  ) AS rn FROM rec GROUP BY entity, qw, cell"
+            "SELECT side, entity, qw, cell FROM ("
+            "  SELECT side, entity, qw, cell, row_number() OVER ("
+            "    PARTITION BY side, entity, qw ORDER BY count(*) DESC, cell ASC"
+            "  ) AS rn FROM rec GROUP BY side, entity, qw, cell"
             ") WHERE rn = 1",
-            rec=pdf2[["entity", "qw", "cell"]],
+            rec=pdf2[["side", "entity", "qw", "cell"]],
         )
 
     def test_step_must_be_positive(self, sig_records):
@@ -116,7 +117,7 @@ class TestBandBuckets:
         sigs = spark.createDataFrame(
             pd.DataFrame(
                 {"entity": [0, 1, 0, 1], "qw": [0, 0, 1, 1], "cell": [7, 7, 9, 9]}
-            ).astype("int64")
+            ).astype("int64").assign(side="e")
         )
         bb = lsh.band_buckets(sigs, qw_min=0, r=2, n_buckets=1024).toPandas()
         assert bb.groupby("band")["bucket"].nunique().eq(1).all()
@@ -125,7 +126,7 @@ class TestBandBuckets:
         sigs = spark.createDataFrame(
             pd.DataFrame(
                 {"entity": [0, 1], "qw": [0, 0], "cell": [7, 8]}
-            ).astype("int64")
+            ).astype("int64").assign(side="e")
         )
         bb = lsh.band_buckets(sigs, qw_min=0, r=1, n_buckets=1 << 20).toPandas()
         assert bb["bucket"].nunique() == 2
@@ -136,7 +137,7 @@ class TestBandBuckets:
         sigs = spark.createDataFrame(
             pd.DataFrame({"entity": [0, 1], "qw": [0, 1], "cell": [7, 7]}).astype(
                 "int64"
-            )
+            ).assign(side="e")
         )
         bb = lsh.band_buckets(sigs, qw_min=0, r=2, n_buckets=1 << 20).toPandas()
         assert bb["bucket"].nunique() == 2
@@ -150,7 +151,7 @@ class TestBandBuckets:
                     "qw": g.integers(0, 10, 200),
                     "cell": g.integers(0, 50, 200),
                 }
-            ).astype("int64")
+            ).astype("int64").assign(side="e")
         ).distinct()
         bb = lsh.band_buckets(sigs, qw_min=0, r=3, n_buckets=16).toPandas()
         assert bb["bucket"].between(0, 15).all()
@@ -191,9 +192,8 @@ class TestCandidates:
         )
         assert len(cpdf) == len(cpdf.drop_duplicates())
         # the plan's span is the query windows the signatures hold
-        qw = pd.concat(
-            lsh.signatures(r, level=cfg.level, window_sec=900, step=cfg.step).toPandas()["qw"] for r in (rec_e, rec_i)
-        )
+        both = histories.tag_sides(rec_e, rec_i)
+        qw = lsh.signatures(both, level=cfg.level, window_sec=900, step=cfg.step).toPandas()["qw"]
         assert (plan.qw_min, plan.qw_min + plan.signature_len - 1) == (qw.min(), qw.max())
 
     def test_no_records_empty_plan(self, spark, cab_records):
@@ -246,3 +246,56 @@ class TestCandidates:
             counts[t] = cand.count()
         assert counts[0.3] >= counts[0.9]
 
+
+def _shared_bucket_pairs(rec_e, rec_i, cfg, plan):
+    """Reference candidates: each side's (band, bucket)s computed on its
+    own, then every (u, v) that shares one, without duplicates."""
+    sides = []
+    for side, rec in (("e", rec_e), ("i", rec_i)):
+        sigs = lsh.signatures(
+            rec.select(F.lit(side).alias("side"), "*"), level=cfg.level, window_sec=900, step=cfg.step
+        )
+        sides.append(
+            lsh.band_buckets(sigs, qw_min=plan.qw_min, r=plan.rows_per_band, n_buckets=cfg.n_buckets).toPandas()
+        )
+    be, bi = (b[["entity", "band", "bucket"]] for b in sides)
+    pairs = be.rename(columns={"entity": "u"}).merge(bi.rename(columns={"entity": "v"}), on=["band", "bucket"])
+    return pairs[["u", "v"]].drop_duplicates().sort_values(["u", "v"]).reset_index(drop=True)
+
+
+def _sorted_pairs(cand):
+    return cand.toPandas().sort_values(["u", "v"]).reset_index(drop=True)
+
+
+class TestCandidatesOracle:
+    def test_pairs_sharing_a_bucket(self, cab_records):
+        rec_e, rec_i = cab_records
+        got = {}
+        for n_buckets in (16, 4096):
+            cfg = lsh.LshConfig(level=14, step=4, n_buckets=n_buckets)
+            cand, plan = _candidates(rec_e, rec_i, cfg)
+            got[n_buckets] = _sorted_pairs(cand)
+            want = _shared_bucket_pairs(rec_e, rec_i, cfg, plan)
+            pd.testing.assert_frame_equal(got[n_buckets], want, check_dtype=False)
+        # at 16 buckets unrelated bands collide and pair more entities
+        assert len(got[16]) > len(got[4096]) > 0
+
+    def test_hand_built(self, spark):
+        # four 15-minute query windows in two bands of two; the cells
+        # are a degree apart, so each is its own level-12 cell
+        def rows(entity, cells_by_window):
+            return [(entity, 900 * w + 60, float(c), float(c)) for w, c in enumerate(cells_by_window)]
+
+        e = rows(1, [0, 0, 1, 1]) + rows(3, [0, 0, 3, 3]) + rows(4, [2, 2, 4, 4])
+        # I entity 1 shares no band with E entity 1, whose id it has
+        i = rows(1, [2, 2, 5, 5]) + rows(2, [0, 0, 1, 1])
+        rec_e, rec_i = (
+            spark.createDataFrame(r, schema="entity long, ts long, lat double, lon double") for r in (e, i)
+        )
+        cfg = lsh.LshConfig(level=12, step=1, threshold=0.7, n_buckets=1 << 20)
+        cand, plan = _candidates(rec_e, rec_i, cfg)
+        assert (plan.signature_len, plan.n_bands, plan.rows_per_band) == (4, 2, 2)
+        # (1, 2) shares both bands and occurs once; (3, 2) and (4, 1)
+        # share the first band; (1, 1) shares none
+        got = _sorted_pairs(cand)
+        assert got.values.tolist() == [[1, 2], [3, 2], [4, 1]]

@@ -331,17 +331,14 @@ class TestInputContract:
     def few(self, spark, small_cab_pair):
         return small_cab_pair.e_records.head(20), small_cab_pair.i_records.head(20)
 
-    def test_float_ts_rejected_without_a_job(self, spark, few):
+    def test_float_ts_rejected_without_a_job(self, spark, spark_jobs, few):
         e, i = (spark.createDataFrame(pdf) for pdf in few)
-        sc = spark.sparkContext
-        group = "test-input-contract"
-        sc.setJobGroup(group, group)
-        try:
+
+        def call():
             with pytest.raises(ValueError, match="records_i: ts must have an integer type"):
                 run_slim(e, i.withColumn("ts", F.col("ts").cast("double")), SlimConfig(use_lsh=False))
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        assert sc.statusTracker().getJobIdsForGroup(group) == []
+
+        assert spark_jobs(call) == 0
 
     @pytest.mark.parametrize(
         "column, value, message",
@@ -393,32 +390,28 @@ class TestInputContract:
 
 
 # Spark jobs of one warm run_slim call on the Cab test instance,
-# measured with 1, 2 and 4 cores. One aggregate collects the corpus
-# statistics (the LSH span, |U| and the bin totals), and the only other
-# action collects the scores: one row per candidate pair, which also
-# counts the candidates. A re-added eager action, a shuffle of the bin
-# pairs or a post-kernel join raises the count.
-JOB_BUDGET = {"lsh": 14, "bf": 13}
+# measured with 1, 2 and 4 cores. The corpus statistics take 2 (one
+# shuffle to per-entity rows, one collect). Under LSH both sides'
+# records go through the signature and banding stages as one relation,
+# and one group per (band, bucket) pairs the two sides' entities. The
+# only other action collects the scores: one row per candidate pair,
+# which also counts the candidates. A re-added eager action, a second
+# per-side pipeline, a shuffle of the bin pairs or a post-kernel join
+# raises the count.
+JOB_BUDGET = {"lsh": 11, "bf": 12}
 
 
-def _warm_call_jobs(sc, group: str, call) -> int:
+def _warm_call_jobs(spark_jobs, call) -> int:
     """Spark jobs of one ``call()`` after a warm-up call."""
     call()  # warm-up
-    sc.setJobGroup(group, group)
-    try:
-        call()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    return len(sc.statusTracker().getJobIdsForGroup(group))
+    return spark_jobs(call)
 
 
 class TestJobBudget:
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_warm_call_jobs(self, spark, cab_records, mode):
+    def test_warm_call_jobs(self, spark_jobs, cab_records, mode):
         rec_e, rec_i = cab_records
-        jobs = _warm_call_jobs(
-            spark.sparkContext, f"test-job-budget-{mode}", lambda: run_slim(rec_e, rec_i, MODES[mode])
-        )
+        jobs = _warm_call_jobs(spark_jobs, lambda: run_slim(rec_e, rec_i, MODES[mode]))
         assert 0 < jobs <= JOB_BUDGET[mode]
 
 
@@ -433,11 +426,7 @@ BASELINES = {"stlink": run_stlink, "gm": run_gm}
 
 class TestBaselineJobBudget:
     @pytest.mark.parametrize("algo", sorted(BASELINES))
-    def test_warm_call_jobs(self, spark, cab_records, algo):
+    def test_warm_call_jobs(self, spark_jobs, cab_records, algo):
         rec_e, rec_i = cab_records
-        jobs = _warm_call_jobs(
-            spark.sparkContext,
-            f"test-baseline-job-budget-{algo}",
-            lambda: BASELINES[algo](rec_e, rec_i, SlimConfig()),
-        )
+        jobs = _warm_call_jobs(spark_jobs, lambda: BASELINES[algo](rec_e, rec_i, SlimConfig()))
         assert 0 < jobs <= BASELINE_JOB_BUDGET[algo]

@@ -6,6 +6,10 @@ from repro.core import tuning
 from repro.core.slim import SlimConfig
 
 PROBE = dict(n_probe=4, n_others=6, seed=0)
+# Spark jobs of one warm probe on the Cab test instance: the corpus
+# statistics' 2, which also give the sorted entity list, and the
+# scoring query's 7. A separate query for the entity list raises it.
+PROBE_JOB_BUDGET = 9
 
 
 class TestKneedle:
@@ -87,6 +91,15 @@ class TestSelfSimilarityRatio:
         ratios.append(tuning.self_similarity_ratio(rec_e.repartition(5), cfg, **PROBE))
         assert ratios[1] == ratios[0]
         assert ratios[2] == ratios[0]
+
+    def test_probe_jobs(self, spark_jobs, cab_records):
+        rec_e, _ = cab_records
+
+        def probe():
+            tuning.self_similarity_ratio(rec_e, SlimConfig(level=14), **PROBE)
+
+        probe()  # warm-up
+        assert spark_jobs(probe) <= PROBE_JOB_BUDGET
 
 
 class TestSelectSpatialLevel:
