@@ -8,9 +8,9 @@ per-subtree cell counts; in a DataFrame engine the leaf level is the
 level is the same relation re-aggregated at a coarser window — see
 :mod:`repro.core.lsh` for the dominating-cell queries that use it.
 
-All functions but :func:`corpus_stats` and the two comparison counts
-return DataFrames so Catalyst plans the whole pipeline; nothing else
-here runs a Spark action.
+All functions but :func:`corpus_stats`, :func:`norm_factors` (a
+Column) and the two comparison counts return DataFrames so Catalyst
+plans the whole pipeline; nothing else here runs a Spark action.
 """
 from __future__ import annotations
 
@@ -168,25 +168,21 @@ def corpus_stats(
     )
 
 
-def norm_factors(bins: DataFrame, totals: SideTotals, *, b: float) -> DataFrame:
+def norm_factors(n_bins: Column, totals: SideTotals, *, b: float) -> Column:
     """BM25-style length normalization ``L(u) = (1−b) + b·|H_u|/avg|H|``.
 
     Eq. 2's denominator component; ``b`` ∈ [0, 1] tunes how strongly
     long histories are discounted (paper default 0.5).
 
-    ``bins`` must hold one row per (entity, window, cell), as
-    :func:`build_bins` emits, so that |H_u| is the row count of entity
-    u, a window over entity. avg|H| is
-    ``totals.n_bins / totals.n_entities``, a literal from
-    :func:`corpus_stats`; a side with no entities has no rows, so it
-    divides by 1 instead of 0. Returns the input rows with ``L`` added;
-    runs no Spark action.
+    ``n_bins`` is the Column holding |H_u|, the number of bins in u's
+    mobility history. avg|H| is ``totals.n_bins / totals.n_entities``,
+    a literal from :func:`corpus_stats`; a side with no entities has no
+    rows, so it divides by 1 instead of 0. Returns the ``L`` Column.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must be in [0, 1]")
-    n_bins = F.count(F.lit(1)).over(Window.partitionBy("entity"))
     avg_bins = F.lit(totals.n_bins) / F.lit(max(totals.n_entities, 1))
-    return bins.withColumn("L", F.lit(1.0 - b) + F.lit(b) * n_bins / avg_bins)
+    return F.lit(1.0 - b) + F.lit(b) * n_bins / avg_bins
 
 
 def idf(bins: DataFrame, totals: SideTotals) -> DataFrame:

@@ -16,13 +16,12 @@ of :mod:`repro.core.tuning` score with the same parameters.
 
 Dataflow: one per-entity aggregate over both sides' records
 (:func:`repro.core.histories.corpus_stats`, one shuffle and one
-collect) gives each side's |U| and bin total, so idf per (window,
-cell) and L per entity are window counts over the bin rows with those
-totals as literals; no statistic needs an action of its own.
-Each side's bins are hash-partitioned by
-(window, cell), which the idf window reuses; one ``groupBy(entity)``
-then gathers every entity's mobility history into arrays of windows,
-cells and idf, beside its L. The candidate relation is joined with the
+collect) gives each side's |U| and bin total, which idf and L take
+as literals; no statistic needs an action of its own. Each side's
+bins are hash-partitioned by (window, cell), which idf's window count
+reuses; one ``groupBy(entity)`` then gathers every entity's mobility
+history into arrays of windows, cells and idf, and L is computed from
+the length of that history. The candidate relation is joined with the
 E histories on u and the I histories on v, so each candidate pair is
 one row carrying both histories, and ``mapInPandas`` scores those rows
 a batch per call with no further shuffle. The kernel sorts each side's
@@ -238,21 +237,17 @@ def pair_scores(
     cost metric; ``n_alibi`` counts included alibi bin pairs.
     """
     def side(bins: DataFrame, totals: histories.SideTotals, entity: str, s: str) -> DataFrame:
-        """One row per entity: its history as arrays, and its L."""
-        fields, keys = ["window", "cell"], ["entity"]
-        # the (window, cell) window first: it reuses build_bins'
-        # partitioning, and the entity window's shuffle then serves the
-        # history aggregate
+        """One row per entity: its history as arrays and, with norm on,
+        its L from the history's length |H_u|."""
+        fields = ["window", "cell"]
         if cfg.use_idf:
+            # reuses build_bins' (window, cell) partitioning
             bins = histories.idf(bins, totals)
             fields.append("idf")
-        if cfg.use_norm:
-            bins = histories.norm_factors(bins, totals, b=cfg.b)
-            keys.append("L")
-        hist = bins.groupBy(*keys).agg(F.collect_list(F.struct(*fields)).alias("h"))
+        hist = bins.groupBy("entity").agg(F.collect_list(F.struct(*fields)).alias("h"))
         cols = [F.col("entity").alias(entity), *(F.col("h")[f].alias(f"{f}_{s}") for f in fields)]
         if cfg.use_norm:
-            cols.append(F.col("L").alias(f"L_{entity}"))
+            cols.append(histories.norm_factors(F.size("h"), totals, b=cfg.b).alias(f"L_{entity}"))
         return hist.select(*cols)
 
     ehist = side(bins_e, stats.e, "u", "e")

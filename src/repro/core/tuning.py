@@ -71,7 +71,9 @@ def self_similarity_ratio(
     ``cfg``. Normalization and idf are evaluated with the full dataset
     statistics.
     """
-    stats = histories.corpus_stats(records, records, level=cfg.level, window_sec=cfg.window_sec)
+    # both sides are ``records``: aggregate them once, copy E's totals to I
+    stats = histories.corpus_stats(records, records.limit(0), level=cfg.level, window_sec=cfg.window_sec)
+    stats = replace(stats, i=stats.e)
     # sorted, so the draw does not depend on the shuffle's row order
     ents = stats.entities_e
     rng = np.random.default_rng(seed)

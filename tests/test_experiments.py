@@ -16,6 +16,7 @@ import pytest
 from repro.experiments import (
     ablation,
     cli,
+    common,
     comparison,
     gmm_fit,
     lsh_buckets,
@@ -24,6 +25,7 @@ from repro.experiments import (
     workload,
 )
 from repro.experiments.__main__ import TABLES
+from repro.mobility import generator
 
 
 class TestE1Spatiotemporal:
@@ -232,3 +234,20 @@ class TestPrintTable:
         out = print_table(df, "T")
         assert out is df
         assert "T" in capsys.readouterr().out
+
+
+class TestSparkPair:
+    def test_caches_filled_on_return(self, spark):
+        # a lazy cache would be filled by the first timed linker; the
+        # seed is one no fixture caches, so both frames are new caches
+        def filled():
+            infos = spark.sparkContext._jsc.sc().getRDDStorageInfo()
+            return {r.id() for r in infos if 0 < r.numPartitions() == r.numCachedPartitions()}
+
+        before = filled()
+        frames = common.spark_pair(spark, generator.cab_pair(scale="test", seed=11, n_entities=3))
+        try:
+            assert len(filled() - before) == 2
+        finally:
+            for df in frames:
+                df.unpersist()

@@ -79,6 +79,11 @@ def _totals(df):
     return histories.corpus_stats(df, df, level=12, window_sec=900).e
 
 
+def _norm_factors(bins, totals, *, b):
+    """``(entity, L)`` from each entity's history length |H_u|."""
+    return bins.groupBy("entity").agg(histories.norm_factors(F.count(F.lit(1)), totals, b=b).alias("L"))
+
+
 class TestCorpusStats:
     def test_totals_and_span(self, tiny_records):
         df, pdf = tiny_records
@@ -115,7 +120,7 @@ class TestNormFactors:
         pdf2["window"] = pdf2["ts"] // 900
         pdf2["cell"] = cells.encode(pdf2["lat"].to_numpy(), pdf2["lon"].to_numpy(), 12)
         oracle.assert_equivalent(
-            histories.norm_factors(bins, _totals(df), b=0.5).select("entity", "L").distinct(),
+            _norm_factors(bins, _totals(df), b=0.5),
             'WITH h AS (SELECT entity, count(*) AS n_bins FROM '
             '(SELECT DISTINCT entity, "window", cell FROM rec) GROUP BY entity) '
             "SELECT entity, 0.5 + 0.5 * n_bins / (SELECT avg(n_bins) FROM h) AS L FROM h",
@@ -125,7 +130,7 @@ class TestNormFactors:
     def test_b_zero_is_identity(self, tiny_records):
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
-        L = histories.norm_factors(bins, _totals(df), b=0.0).select("entity", "L").distinct().toPandas()
+        L = _norm_factors(bins, _totals(df), b=0.0).toPandas()
         assert np.allclose(L["L"], 1.0)
 
     def test_b_one_is_relative_size(self, tiny_records):
@@ -133,9 +138,7 @@ class TestNormFactors:
         bins = histories.build_bins(df, level=12, window_sec=900)
         sizes = bins.groupBy("entity").agg(F.count(F.lit(1)).alias("n_bins")).toPandas()
         L = (
-            histories.norm_factors(bins, _totals(df), b=1.0)
-            .select("entity", "L")
-            .distinct()
+            _norm_factors(bins, _totals(df), b=1.0)
             .toPandas()
             .merge(sizes, on="entity")
         )
@@ -147,15 +150,13 @@ class TestNormFactors:
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900)
         for b in (0.25, 0.5, 0.75):
-            L = histories.norm_factors(bins, _totals(df), b=b).select("entity", "L").distinct().toPandas()
+            L = _norm_factors(bins, _totals(df), b=b).toPandas()
             assert L["L"].mean() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
-    def test_rejects_bad_b(self, tiny_records, bad):
-        df, _ = tiny_records
-        bins = histories.build_bins(df, level=12, window_sec=900)
+    def test_rejects_bad_b(self, bad):
         with pytest.raises(ValueError):
-            histories.norm_factors(bins, histories.SideTotals(1, 1), b=bad)
+            histories.norm_factors(F.lit(1), histories.SideTotals(1, 1), b=bad)
 
 
 class TestIdf:

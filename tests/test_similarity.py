@@ -1,11 +1,13 @@
 """Tests for the pairwise similarity scorer (Eq. 2 / Alg. 1)."""
 import math
+import re
 
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pyspark.sql import functions as F
 
 from repro.core import histories, proximity, similarity
 from repro.core.proximity import proximity as prox
@@ -461,17 +463,33 @@ class TestPairScores:
         e_rows = [(0, 0, CELL_A), (0, 1, CELL_A), (0, 2, CELL_A), (1, 0, CELL_B)]
         i_rows = [(10, 0, CELL_A), (11, 5, CELL_B)]
         out = _score(spark, e_rows, i_rows, [(0, 10)], use_norm=True, b=1.0)
-        bins_e = _bins(spark, e_rows)
         L = (
-            histories.norm_factors(bins_e, _totals(e_rows), b=1.0)
-            .select("entity", "L")
-            .distinct()
+            _bins(spark, e_rows)
+            .groupBy("entity")
+            .agg(histories.norm_factors(F.count(F.lit(1)), _totals(e_rows), b=1.0).alias("L"))
             .toPandas()
             .set_index("entity")["L"]
         )
         raw = 1.0  # single matching bin pair, exact cell match
         # i side: both entities have 1 bin ⇒ L_v = 1
         assert out.loc[(0, 10), "score"] == pytest.approx(raw / (L[0] * 1.0))
+
+    def test_one_window_per_side(self, spark):
+        # idf's (window, cell) count is each side's one Window operator;
+        # L comes from the history's length, with no window over entity
+        e_rows = [(0, 0, CELL_A), (0, 1, CELL_A), (1, 0, CELL_B)]
+        i_rows = [(10, 0, CELL_A), (11, 1, CELL_B)]
+        out = similarity.pair_scores(
+            _bins(spark, e_rows),
+            _bins(spark, i_rows),
+            _cand(spark, [(0, 10), (1, 11)]),
+            stats=_stats(e_rows, i_rows),
+            cfg=_cfg(use_idf=True, use_norm=True),
+        )
+        out.collect()
+        # the adaptive plan prints its final plan above the initial one
+        plan = out._jdf.queryExecution().executedPlan().toString().split("== Initial Plan ==")[0]
+        assert len(re.findall(r"^[\s:+-]*Window \[", plan, flags=re.M)) == 2
 
     @pytest.mark.parametrize("empty", ["e", "i", "both"])
     def test_empty_side_no_rows(self, spark, empty):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core import tuning
+from repro.core import histories, tuning
 from repro.core.slim import SlimConfig
 
 PROBE = dict(n_probe=4, n_others=6, seed=0)
@@ -91,6 +91,19 @@ class TestSelfSimilarityRatio:
         ratios.append(tuning.self_similarity_ratio(rec_e.repartition(5), cfg, **PROBE))
         assert ratios[1] == ratios[0]
         assert ratios[2] == ratios[0]
+
+    @pytest.mark.parametrize("level", [8, 14])
+    def test_ratio_equals_two_sided_stats(self, monkeypatch, cab_records, level):
+        # the probe aggregates its records once and copies E's totals
+        # to I; the reference aggregates the records as both sides
+        rec_e, _ = cab_records
+        cfg = SlimConfig(level=level)
+        one_pass = tuning.self_similarity_ratio(rec_e, cfg, **PROBE)
+        corpus_stats = histories.corpus_stats
+        monkeypatch.setattr(
+            histories, "corpus_stats", lambda records, _, **kw: corpus_stats(records, records, **kw)
+        )
+        assert tuning.self_similarity_ratio(rec_e, cfg, **PROBE) == one_pass
 
     def test_probe_jobs(self, spark_jobs, cab_records):
         rec_e, _ = cab_records
