@@ -120,7 +120,8 @@ class StopThreshold:
     comes from the fitted mixture. With too few or all-equal weights, or
     when BIC prefers one Gaussian, the mixture assumption (distinguishable
     TP and FP clusters, Sec 3.2) does not hold: no threshold is applied
-    (``threshold = −inf``) and ``bimodal`` is False.
+    (``threshold = −inf``), ``bimodal`` is False and ``expected_f1`` is
+    NaN, since no model predicts the F1 of keeping every link.
     """
 
     threshold: float
@@ -167,11 +168,11 @@ def select_stop_threshold(weights: np.ndarray) -> StopThreshold:
             mu=np.array([weights.min() if weights.size else 0.0] * 2),
             sigma=np.array([1.0, 1.0]),
         )
-        return StopThreshold(threshold=-np.inf, gmm=g, expected_f1=1.0, separation=0.0, bimodal=False)
+        return StopThreshold(threshold=-np.inf, gmm=g, expected_f1=math.nan, separation=0.0, bimodal=False)
     gmm = fit_gmm_1d(weights)
     sep = float((gmm.mu[1] - gmm.mu[0]) / (gmm.sigma[0] + gmm.sigma[1]))
     if not _bic_prefers_two_components(weights, gmm):
-        return StopThreshold(threshold=-np.inf, gmm=gmm, expected_f1=1.0, separation=sep, bimodal=False)
+        return StopThreshold(threshold=-np.inf, gmm=gmm, expected_f1=math.nan, separation=sep, bimodal=False)
     grid = np.linspace(weights.min(), weights.max(), THRESHOLD_GRID)
     _, _, f1 = expected_prf(gmm, grid)
     best = int(np.argmax(f1))

@@ -49,10 +49,19 @@ def build_bins(records: DataFrame, *, level: int, window_sec: int) -> DataFrame:
 
 @dataclass(frozen=True)
 class SideTotals:
-    """One side's |U| (entities with a record) and its number of bins."""
+    """One side's entity set U and its number of bins.
 
-    n_entities: int
+    ``entities`` holds the ids of the entities with a record, in
+    ascending order; Eq. 3's |U| is their number. Brute force pairs
+    both sides' ids (:func:`repro.core.similarity.all_pairs`).
+    """
+
+    entities: tuple[int, ...]
     n_bins: int
+
+    @property
+    def n_entities(self) -> int:
+        return len(self.entities)
 
 
 @dataclass(frozen=True)
@@ -61,15 +70,14 @@ class CorpusStats:
 
     ``ts_span`` is the first and last ``ts`` over both sides' records,
     ``None`` when there are none; :func:`repro.core.lsh.plan` derives
-    the LSH query-window span from it. ``entities_e`` holds the E
-    side's entity ids in ascending order, from which
-    :func:`repro.core.tuning.self_similarity_ratio` draws its probes.
+    the LSH query-window span from it.
+    :func:`repro.core.tuning.self_similarity_ratio` draws its probes
+    from ``e.entities``.
     """
 
     e: SideTotals
     i: SideTotals
     ts_span: tuple[int, int] | None
-    entities_e: tuple[int, ...] = ()
 
 
 _INTEGER_TYPES = (T.ByteType, T.ShortType, T.IntegerType, T.LongType)
@@ -98,18 +106,19 @@ def corpus_stats(
     level: int,
     window_sec: int,
 ) -> CorpusStats:
-    """Both sides' totals and the records' time span; runs two Spark jobs.
+    """Both sides' entity ids and bin totals and the time span; two Spark jobs.
 
     Both sides' binned records are hash-partitioned by (side, entity)
     and aggregated per (side, entity, window, cell), then per (side,
     entity), in that one shuffle. The driver collects one row per
     entity, with its bin count, first and last ``ts`` and contract
-    violations, and sums them. The same rows enforce the records'
-    contract: no null entity, ts, lat or lon, lat within [−90, 90] and
-    lon within [−180, 180] (``ValueError`` otherwise, as for a ``ts``
-    that is not of an integer type, which the schema shows without a
-    job). With nulls rejected, an entity's (window, cell) groups are
-    exactly the rows :func:`build_bins` emits for it.
+    violations, keeps each side's ids in ascending order and sums the
+    rest. The same rows enforce the records' contract: no null entity,
+    ts, lat or lon, lat within [−90, 90] and lon within [−180, 180]
+    (``ValueError`` otherwise, as for a ``ts`` that is not of an
+    integer type, which the schema shows without a job). With nulls
+    rejected, an entity's (window, cell) groups are exactly the rows
+    :func:`build_bins` emits for it.
     """
     for name, rec in (("records_e", records_e), ("records_i", records_i)):
         ts_type = rec.schema["ts"].dataType
@@ -157,14 +166,16 @@ def corpus_stats(
     ]
     if bad:
         raise ValueError("invalid records: " + "; ".join(bad))
-    totals = {side: SideTotals(len(rows[side]), sum(row["n_bins"] for row in rows[side])) for side in SIDES}
+    totals = {
+        side: SideTotals(tuple(sorted(row["entity"] for row in rows[side])), sum(row["n_bins"] for row in rows[side]))
+        for side in SIDES
+    }
     return CorpusStats(
         e=totals["e"],
         i=totals["i"],
         ts_span=(min(row["ts_lo"] for row in per_entity), max(row["ts_hi"] for row in per_entity))
         if per_entity
         else None,
-        entities_e=tuple(sorted(row["entity"] for row in rows["e"])),
     )
 
 

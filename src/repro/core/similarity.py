@@ -16,8 +16,9 @@ of :mod:`repro.core.tuning` score with the same parameters.
 
 Dataflow: one per-entity aggregate over both sides' records
 (:func:`repro.core.histories.corpus_stats`, one shuffle and one
-collect) gives each side's |U| and bin total, which idf and L take
-as literals; no statistic needs an action of its own. Each side's
+collect) gives each side's entity ids and bin total: idf and L take
+|U| and the total as literals, and brute force pairs the ids, so no
+statistic needs an action of its own. Each side's
 bins are hash-partitioned by (window, cell), which idf's window count
 reuses; one ``groupBy(entity)`` then gathers every entity's mobility
 history into arrays of windows, cells and idf, and L is computed from
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import histories, proximity
@@ -62,11 +63,19 @@ _KERNEL_SCHEMA = (
 Pairing = Literal["mnn_mfn", "mnn", "all"]
 
 
-def all_pairs(bins_e: DataFrame, bins_i: DataFrame) -> DataFrame:
-    """Brute-force candidate relation: every (u, v) entity pair."""
-    ue = bins_e.select(F.col("entity").alias("u")).distinct()
-    ui = bins_i.select(F.col("entity").alias("v")).distinct()
-    return ue.crossJoin(ui)
+def all_pairs(spark: SparkSession, stats: histories.CorpusStats) -> DataFrame:
+    """Brute-force candidate relation ``(u, v)``: every entity pair.
+
+    The cross join of two one-column relations made from the ids in
+    ``stats`` (:func:`repro.core.histories.corpus_stats`), so the bins
+    are not read again. Each relation is one partition, so the cross
+    join runs one task, not one per pair of partitions.
+    """
+    def ids(entities: tuple[int, ...], name: str) -> DataFrame:
+        rows = spark.sparkContext.parallelize([(e,) for e in entities], 1)
+        return spark.createDataFrame(rows, f"{name} long")
+
+    return ids(stats.e.entities, "u").crossJoin(ids(stats.i.entities, "v"))
 
 
 def greedy_select_mask(

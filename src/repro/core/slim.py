@@ -2,9 +2,10 @@
 
 ``run_slim`` wires the stages together:
 
-1. records → mobility-history bins (``repro.core.histories``),
+1. records → corpus statistics (each side's entity ids and bin
+   total) and mobility-history bins (``repro.core.histories``),
 2. LSH candidate filtering (``repro.core.lsh``) or brute-force all
-   pairs,
+   pairs of the two sides' entity ids,
 3. distributed pairwise similarity scoring
    (``repro.core.similarity``),
 4. :func:`link`: driver-side greedy maximum-weight bipartite
@@ -108,7 +109,7 @@ def run_slim(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> Sli
             records_e, records_i, window_sec=cfg.window_sec, cfg=cfg.lsh, ts_span=stats.ts_span
         )
     else:
-        candidates = similarity.all_pairs(bins_e, bins_i)
+        candidates = similarity.all_pairs(records_e.sparkSession, stats)
 
     scored = similarity.pair_scores(bins_e, bins_i, candidates, stats=stats, cfg=cfg).toPandas()
     # every candidate gets a row; those sharing no window score 0 and

@@ -71,11 +71,11 @@ def self_similarity_ratio(
     ``cfg``. Normalization and idf are evaluated with the full dataset
     statistics.
     """
-    # both sides are ``records``: aggregate them once, copy E's totals to I
+    # both sides are ``records``: aggregate them once, copy E's ids and totals to I
     stats = histories.corpus_stats(records, records.limit(0), level=cfg.level, window_sec=cfg.window_sec)
     stats = replace(stats, i=stats.e)
     # sorted, so the draw does not depend on the shuffle's row order
-    ents = stats.entities_e
+    ents = stats.e.entities
     rng = np.random.default_rng(seed)
     probes = rng.choice(ents, size=min(n_probe, len(ents)), replace=False)
     others = rng.choice(ents, size=min(n_others, len(ents)), replace=False)

@@ -109,11 +109,15 @@ class TestSelectThreshold:
         res = gmm.select_stop_threshold(np.full(10, 3.0))
         assert res.threshold == -np.inf  # accept everything
         assert (res.bimodal, res.separation) == (False, 0.0)
+        # no mixture is fitted, so no model predicts the F1 of keeping
+        # every link
+        assert math.isnan(res.expected_f1)
 
     def test_tiny_input(self):
         res = gmm.select_stop_threshold(np.array([1.0, 2.0]))
         assert res.threshold == -np.inf
         assert not res.bimodal
+        assert math.isnan(res.expected_f1)
 
     def test_unimodal_cluster_not_thresholded(self):
         # BIC guard: one tight cluster (e.g. all-true matches after LSH
@@ -121,8 +125,10 @@ class TestSelectThreshold:
         g = np.random.default_rng(0)
         res = gmm.select_stop_threshold(g.normal(600.0, 20.0, 18))
         assert res.threshold == -np.inf
-        # a mixture was fitted, and BIC rejected it
+        # a mixture was fitted, and BIC rejected it, so its F1 curve
+        # predicts nothing
         assert not res.bimodal and np.isfinite(res.separation)
+        assert math.isnan(res.expected_f1)
 
     def test_bic_guard_allows_bimodal(self):
         g = np.random.default_rng(4)

@@ -89,8 +89,8 @@ class TestCorpusStats:
         df, pdf = tiny_records
         stats = histories.corpus_stats(df, df.where("entity < 3"), level=12, window_sec=900)
         bins = histories.build_bins(df, level=12, window_sec=900)
-        assert stats.e == histories.SideTotals(pdf["entity"].nunique(), bins.count())
-        assert stats.i == histories.SideTotals(3, bins.where("entity < 3").count())
+        assert stats.e == histories.SideTotals(tuple(sorted(pdf["entity"].unique())), bins.count())
+        assert stats.i == histories.SideTotals((0, 1, 2), bins.where("entity < 3").count())
         assert stats.ts_span == (pdf["ts"].min(), pdf["ts"].max())
 
     def test_empty_side(self, spark, tiny_records):
@@ -98,13 +98,15 @@ class TestCorpusStats:
         none = spark.createDataFrame([], df.schema)
         stats = histories.corpus_stats(none, none, level=12, window_sec=900)
         assert stats == histories.CorpusStats(
-            histories.SideTotals(0, 0), histories.SideTotals(0, 0), ts_span=None
+            histories.SideTotals((), 0), histories.SideTotals((), 0), ts_span=None
         )
 
     def test_sorted_entities(self, tiny_records):
         df, pdf = tiny_records
-        stats = histories.corpus_stats(df.where("entity > 2"), df, level=12, window_sec=900)
-        assert stats.entities_e == tuple(e for e in sorted(pdf["entity"].unique()) if e > 2)
+        stats = histories.corpus_stats(df.where("entity > 2"), df.where("entity < 4"), level=12, window_sec=900)
+        ids = sorted(pdf["entity"].unique())
+        assert stats.e.entities == tuple(e for e in ids if e > 2)
+        assert stats.i.entities == tuple(e for e in ids if e < 4)
 
     def test_two_jobs(self, spark_jobs, tiny_records):
         # one shuffle to per-entity rows, one collect of them
@@ -156,7 +158,7 @@ class TestNormFactors:
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
     def test_rejects_bad_b(self, bad):
         with pytest.raises(ValueError):
-            histories.norm_factors(F.lit(1), histories.SideTotals(1, 1), b=bad)
+            histories.norm_factors(F.lit(1), histories.SideTotals((0,), 1), b=bad)
 
 
 class TestIdf:

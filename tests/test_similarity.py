@@ -46,7 +46,7 @@ def _bins(spark, rows):
 
 def _totals(rows):
     """The side totals of a list of distinct (entity, window, cell) bins."""
-    return histories.SideTotals(n_entities=len({r[0] for r in rows}), n_bins=len(rows))
+    return histories.SideTotals(entities=tuple(sorted({r[0] for r in rows})), n_bins=len(rows))
 
 
 def _stats(e_rows, i_rows):
@@ -361,6 +361,29 @@ class TestKernelOracle:
         assert list(similarity._make_kernel(_cfg(**SWITCHES[0]))(iter([]))) == []
 
 
+class TestAllPairs:
+    @pytest.mark.parametrize("dataset", ["cab", "sm"])
+    def test_equals_cross_join_of_bin_entities(self, spark, request, dataset):
+        # the reference is the relation brute force used to build: each
+        # side's bins' distinct entities, cross-joined
+        rec_e, rec_i = request.getfixturevalue(f"{dataset}_records")
+        stats = histories.corpus_stats(rec_e, rec_i, level=LEVEL, window_sec=WINDOW_SEC)
+        bins_e, bins_i = (histories.build_bins(r, level=LEVEL, window_sec=WINDOW_SEC) for r in (rec_e, rec_i))
+        ref = (
+            bins_e.select(F.col("entity").alias("u"))
+            .distinct()
+            .crossJoin(bins_i.select(F.col("entity").alias("v")).distinct())
+        )
+        got = similarity.all_pairs(spark, stats)
+        assert got.schema == ref.schema
+        key = ["u", "v"]
+        pd.testing.assert_frame_equal(
+            got.toPandas().sort_values(key).reset_index(drop=True),
+            ref.toPandas().sort_values(key).reset_index(drop=True),
+        )
+        assert got.count() == stats.e.n_entities * stats.i.n_entities > 0
+
+
 class TestPairScores:
     def test_exact_match_scores_one(self, spark):
         out = _score(
@@ -497,12 +520,12 @@ class TestPairScores:
         # is over no rows: the query plans and returns no pairs
         e_rows = [] if empty in ("e", "both") else [(0, 0, CELL_A)]
         i_rows = [] if empty in ("i", "both") else [(10, 0, CELL_A)]
-        bins_e, bins_i = _bins(spark, e_rows), _bins(spark, i_rows)
+        stats = _stats(e_rows, i_rows)
         out = similarity.pair_scores(
-            bins_e,
-            bins_i,
-            similarity.all_pairs(bins_e, bins_i),
-            stats=_stats(e_rows, i_rows),
+            _bins(spark, e_rows),
+            _bins(spark, i_rows),
+            similarity.all_pairs(spark, stats),
+            stats=stats,
             cfg=_cfg(use_idf=True, use_norm=True),
         ).toPandas()
         assert out.empty
