@@ -10,12 +10,16 @@ level is the same relation re-aggregated at a coarser window — see
 
 All functions but :func:`corpus_stats`, :func:`norm_factors` (a
 Column) and the two comparison counts return DataFrames so Catalyst
-plans the whole pipeline; nothing else here runs a Spark action.
+plans the whole pipeline; nothing else here runs a Spark action, and
+:func:`comparison_count_candidates` runs on the driver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import Column, DataFrame, Window
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -72,12 +76,17 @@ class CorpusStats:
     ``None`` when there are none; :func:`repro.core.lsh.plan` derives
     the LSH query-window span from it.
     :func:`repro.core.tuning.self_similarity_ratio` draws its probes
-    from ``e.entities``.
+    from ``e.entities``. ``signatures`` holds both sides' dominating-cell
+    signature entries ``(side, entity, qw, cell)``, sorted, when
+    :func:`corpus_stats` was given :func:`repro.core.lsh.signatures`,
+    and is ``None`` otherwise; :func:`repro.core.lsh.candidate_pairs`
+    bands them.
     """
 
     e: SideTotals
     i: SideTotals
     ts_span: tuple[int, int] | None
+    signatures: pd.DataFrame | None = field(default=None, compare=False, repr=False)
 
 
 _INTEGER_TYPES = (T.ByteType, T.ShortType, T.IntegerType, T.LongType)
@@ -105,6 +114,7 @@ def corpus_stats(
     *,
     level: int,
     window_sec: int,
+    signature: tuple[Column, Column] | None = None,
 ) -> CorpusStats:
     """Both sides' entity ids and bin totals and the time span; two Spark jobs.
 
@@ -119,6 +129,15 @@ def corpus_stats(
     integer type, which the schema shows without a job). With nulls
     rejected, an entity's (window, cell) groups are exactly the rows
     :func:`build_bins` emits for it.
+
+    ``signature`` is :func:`repro.core.lsh.signatures`' query-window
+    key and dominating-cell aggregate. With it, the first aggregate is
+    per (side, entity, qw) instead: it takes the dominating cell and
+    counts the distinct (window, cell) bins, whose sum over the query
+    windows is the entity's bin count, because each window lies in one
+    query window. Each entity's row then also carries its signature
+    entries, which ``CorpusStats.signatures`` holds; the job count and
+    every other field are the same.
     """
     for name, rec in (("records_e", records_e), ("records_i", records_i)):
         ts_type = rec.schema["ts"].dataType
@@ -132,31 +151,44 @@ def corpus_stats(
         ("a lat outside [-90, 90]", ~F.col("lat").between(-90.0, 90.0)),
         ("a lon outside [-180, 180]", ~F.col("lon").between(-180.0, 180.0)),
     )
-    per_entity = (
+    group_aggs = [
+        F.min("ts").alias("ts_lo"),
+        F.max("ts").alias("ts_hi"),
+        *(F.count_if(f"bad{k}").alias(f"bad{k}") for k in range(len(checks))),
+    ]
+    entity_aggs = [
+        F.min("ts_lo").alias("ts_lo"),
+        F.max("ts_hi").alias("ts_hi"),
+        *(F.sum(f"bad{k}").alias(f"bad{k}") for k in range(len(checks))),
+    ]
+    if signature is None:  # one group per bin
+        keys = [F.col("window"), F.col("cell")]
+        entity_aggs.append(F.count(F.lit(1)).alias("n_bins"))
+    else:
+        qw, dominating = signature
+        keys = [qw.alias("qw")]
+        group_aggs += [F.count_distinct("window", "cell").alias("n_bins"), dominating.alias("sig_cell")]
+        entity_aggs += [F.sum("n_bins").alias("n_bins"), F.collect_list(F.struct("qw", "sig_cell")).alias("sig")]
+    rel = (
         tag_sides(records_e, records_i)
         .repartition("side", "entity")
         .select(
             "side",
             "entity",
             "ts",
+            "lat",
+            "lon",
             *_bin_cols(level=level, window_sec=window_sec),
             *(bad.alias(f"bad{k}") for k, (_, bad) in enumerate(checks)),
         )
-        .groupBy("side", "entity", "window", "cell")
-        .agg(
-            F.min("ts").alias("ts_lo"),
-            F.max("ts").alias("ts_hi"),
-            *(F.count_if(f"bad{k}").alias(f"bad{k}") for k in range(len(checks))),
-        )
+        .groupBy("side", "entity", *keys)
+        .agg(*group_aggs)
         .groupBy("side", "entity")
-        .agg(
-            F.count(F.lit(1)).alias("n_bins"),
-            F.min("ts_lo").alias("ts_lo"),
-            F.max("ts_hi").alias("ts_hi"),
-            *(F.sum(f"bad{k}").alias(f"bad{k}") for k in range(len(checks))),
-        )
-        .collect()
+        .agg(*entity_aggs)
     )
+    if signature is not None:  # the entries as one array per field, in the same order
+        rel = rel.withColumns({"sig_qw": F.col("sig.qw"), "sig_cell": F.col("sig.sig_cell")}).drop("sig")
+    per_entity = rel.collect()
     rows = {side: [row for row in per_entity if row["side"] == side] for side in SIDES}
     bad = [
         f"{n} records_{side} rows have {what}"
@@ -176,7 +208,26 @@ def corpus_stats(
         ts_span=(min(row["ts_lo"] for row in per_entity), max(row["ts_hi"] for row in per_entity))
         if per_entity
         else None,
+        signatures=None if signature is None else _signature_frame(per_entity),
     )
+
+
+def _signature_frame(per_entity: list) -> pd.DataFrame:
+    """The collected rows' signature entries ``(side, entity, qw, cell)``, sorted."""
+    n = np.array([len(row["sig_qw"]) for row in per_entity], dtype=np.int64)
+
+    def entries(name: str) -> np.ndarray:
+        return np.fromiter(itertools.chain.from_iterable(row[name] for row in per_entity), np.int64, int(n.sum()))
+
+    frame = pd.DataFrame(
+        {
+            "side": np.repeat(np.array([row["side"] for row in per_entity], dtype=object), n),
+            "entity": np.repeat(np.array([row["entity"] for row in per_entity], dtype=np.int64), n),
+            "qw": entries("sig_qw"),
+            "cell": entries("sig_cell"),
+        }
+    )
+    return frame.sort_values(["side", "entity", "qw"], ignore_index=True)
 
 
 def norm_factors(n_bins: Column, totals: SideTotals, *, b: float) -> Column:
@@ -243,19 +294,16 @@ def comparison_count_all_pairs(bins_e: DataFrame, bins_i: DataFrame) -> int:
     return int(row["total"] or 0)
 
 
-def comparison_count_candidates(
-    bins_e: DataFrame, bins_i: DataFrame, candidates: DataFrame
-) -> int:
-    """Total bin-pair comparisons restricted to ``candidates (u, v)``."""
-    we = window_bin_counts(bins_e).withColumnRenamed("entity", "u")
-    wi = window_bin_counts(bins_i).withColumnRenamed("entity", "v")
-    row = (
-        candidates.join(we, "u")
-        .join(
-            wi.withColumnRenamed("n_bins_w", "n_bins_w_i"),
-            ["v", "window"],
-        )
-        .agg(F.sum(F.col("n_bins_w") * F.col("n_bins_w_i")).alias("total"))
-        .collect()[0]
+def comparison_count_candidates(counts_e: pd.DataFrame, counts_i: pd.DataFrame, pairs: pd.DataFrame) -> int:
+    """Total bin-pair comparisons restricted to the ``(u, v)`` pairs.
+
+    ``Σ_(u,v) Σ_w n_bins_w(u) · n_bins_w(v)`` on the driver:
+    ``counts_e`` and ``counts_i`` are each side's
+    :func:`window_bin_counts`, collected, and ``pairs`` holds the
+    candidate pairs, as :func:`repro.core.lsh.candidate_pairs` gives
+    them. Collected once, the counts serve any number of candidate sets.
+    """
+    per_window = pairs.merge(counts_e.rename(columns={"entity": "u"}), on="u").merge(
+        counts_i.rename(columns={"entity": "v", "n_bins_w": "n_bins_w_i"}), on=["v", "window"]
     )
-    return int(row["total"] or 0)
+    return int((per_window["n_bins_w"] * per_window["n_bins_w_i"]).sum())

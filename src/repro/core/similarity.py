@@ -16,9 +16,10 @@ of :mod:`repro.core.tuning` score with the same parameters.
 
 Dataflow: one per-entity aggregate over both sides' records
 (:func:`repro.core.histories.corpus_stats`, one shuffle and one
-collect) gives each side's entity ids and bin total: idf and L take
-|U| and the total as literals, and brute force pairs the ids, so no
-statistic needs an action of its own. Each side's
+collect) gives each side's entity ids and bin total, and under LSH
+the signatures: idf and L take |U| and the total as literals, brute
+force pairs the ids and the driver bands the signatures, so neither
+the statistics nor the candidates need an action of their own. Each side's
 bins are hash-partitioned by (window, cell), which idf's window count
 reuses; one ``groupBy(entity)`` then gathers every entity's mobility
 history into arrays of windows, cells and idf, and L is computed from

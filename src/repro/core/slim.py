@@ -3,9 +3,13 @@
 ``run_slim`` wires the stages together:
 
 1. records → corpus statistics (each side's entity ids and bin
-   total) and mobility-history bins (``repro.core.histories``),
-2. LSH candidate filtering (``repro.core.lsh``) or brute-force all
-   pairs of the two sides' entity ids,
+   total, and under LSH each entity's dominating-cell signature, all
+   from one per-entity aggregate) and mobility-history bins
+   (``repro.core.histories``),
+2. LSH candidate filtering (``repro.core.lsh``: the driver bands the
+   collected signatures and pairs the entities of each bucket) or
+   brute-force all pairs of the two sides' entity ids; either way the
+   candidates are a one-partition ``(u, v)`` relation,
 3. distributed pairwise similarity scoring
    (``repro.core.similarity``),
 4. :func:`link`: driver-side greedy maximum-weight bipartite
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core import gmm, histories, matching, proximity, similarity
+from repro.core import gmm, histories, lsh, matching, proximity, similarity
 from repro.core.lsh import LshConfig, LshPlan, lsh_candidates
 from repro.grid import cells
 
@@ -99,15 +103,18 @@ def run_slim(records_e: DataFrame, records_i: DataFrame, cfg: SlimConfig) -> Sli
     :func:`repro.core.histories.corpus_stats`.
     """
     t0 = time.monotonic()
-    stats = histories.corpus_stats(records_e, records_i, level=cfg.level, window_sec=cfg.window_sec)
+    signature = (
+        lsh.signatures(level=cfg.lsh.level, window_sec=cfg.window_sec, step=cfg.lsh.step) if cfg.use_lsh else None
+    )
+    stats = histories.corpus_stats(
+        records_e, records_i, level=cfg.level, window_sec=cfg.window_sec, signature=signature
+    )
     bins_e = histories.build_bins(records_e, level=cfg.level, window_sec=cfg.window_sec)
     bins_i = histories.build_bins(records_i, level=cfg.level, window_sec=cfg.window_sec)
 
     lsh_plan: LshPlan | None = None
     if cfg.use_lsh:
-        candidates, lsh_plan = lsh_candidates(
-            records_e, records_i, window_sec=cfg.window_sec, cfg=cfg.lsh, ts_span=stats.ts_span
-        )
+        candidates, lsh_plan = lsh_candidates(records_e.sparkSession, stats, window_sec=cfg.window_sec, cfg=cfg.lsh)
     else:
         candidates = similarity.all_pairs(records_e.sparkSession, stats)
 

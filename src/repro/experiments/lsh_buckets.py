@@ -9,14 +9,22 @@ take ``SlimConfig``'s and ``LshConfig``'s defaults (level 12,
 15-minute windows, signature level 16); the temporal step is the
 grid's (the paper's is 48; at "test" scale a smaller step keeps the
 signature non-degenerate).
+
+The signatures depend on the level and step only, so one
+``corpus_stats`` call collects them for the whole sweep, and each
+(t, n_buckets) point is banded and paired on the driver
+(:func:`repro.core.lsh.candidate_pairs`). Each side's bins per entity
+and window are collected once too, so a point's comparison count is a
+driver-side merge: the sweep runs no Spark job per point.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core import histories
-from repro.core.lsh import LshConfig, lsh_candidates
+from repro.core import histories, lsh
 from repro.core.slim import SlimConfig
 from repro.experiments import common
 
@@ -43,33 +51,30 @@ DEFAULT_GRID = {
 
 def run(spark: SparkSession, *, dataset: str = "cab", scale: str = "test", seed: int = 0) -> pd.DataFrame:
     grid = DEFAULT_GRID[scale]
-    step = grid["step"]
     pair = common.make_pair(dataset, grid["instance"][dataset], seed=seed)
     rec_e, rec_i = common.spark_pair(spark, pair)
     level, window_sec = SlimConfig().level, SlimConfig().window_sec
     bins_e = histories.build_bins(rec_e, level=level, window_sec=window_sec).cache()
     bins_i = histories.build_bins(rec_i, level=level, window_sec=window_sec).cache()
     comp_bf = histories.comparison_count_all_pairs(bins_e, bins_i)
-    stats = histories.corpus_stats(rec_e, rec_i, level=level, window_sec=window_sec)
+    counts_e, counts_i = (histories.window_bin_counts(b).toPandas() for b in (bins_e, bins_i))
+    sig_cfg = lsh.LshConfig(step=grid["step"])
+    signature = lsh.signatures(level=sig_cfg.level, window_sec=window_sec, step=sig_cfg.step)
+    stats = histories.corpus_stats(rec_e, rec_i, level=level, window_sec=window_sec, signature=signature)
 
     rows = []
     for t in grid["thresholds"]:
         for nb in grid["bucket_counts"]:
-            cfg = LshConfig(step=step, threshold=t, n_buckets=nb)
-            cand, plan = lsh_candidates(
-                rec_e, rec_i, window_sec=window_sec, cfg=cfg, ts_span=stats.ts_span
-            )
-            cand = cand.cache()
-            n_cand = cand.count()
-            comp = histories.comparison_count_candidates(bins_e, bins_i, cand)
-            cand.unpersist()
+            cfg = dataclasses.replace(sig_cfg, threshold=t, n_buckets=nb)
+            pairs, plan = lsh.candidate_pairs(stats, window_sec=window_sec, cfg=cfg)
+            comp = histories.comparison_count_candidates(counts_e, counts_i, pairs)
             rows.append(
                 {
                     "dataset": dataset,
                     "threshold": t,
                     "n_buckets": nb,
                     "n_bands": plan.n_bands,
-                    "candidates": n_cand,
+                    "candidates": len(pairs),
                     "comparisons": comp,
                     "comparisons_bf": comp_bf,
                     "speedup": round(comp_bf / comp, 1) if comp else float("inf"),

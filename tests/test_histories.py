@@ -8,7 +8,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import oracle
-from repro.core import histories
+from repro.core import histories, lsh
 from repro.grid import cells
 
 
@@ -113,6 +113,21 @@ class TestCorpusStats:
         df, _ = tiny_records
         assert spark_jobs(lambda: histories.corpus_stats(df, df, level=12, window_sec=900)) == 2
 
+    @pytest.mark.parametrize("level,step", [(12, 1), (16, 4), (8, 48)])
+    def test_signatures_leave_stats_unchanged(self, spark_jobs, cab_records, level, step):
+        # the signature aggregate groups by query window, not by bin; the
+        # bin count summed over query windows is the same, in 2 jobs
+        rec_e, rec_i = cab_records
+        signature = lsh.signatures(level=level, window_sec=900, step=step)
+        got = []
+        jobs = spark_jobs(
+            lambda: got.append(histories.corpus_stats(rec_e, rec_i, level=12, window_sec=900, signature=signature))
+        )
+        want = histories.corpus_stats(rec_e, rec_i, level=12, window_sec=900)
+        assert jobs == 2
+        assert (got[0].e, got[0].i, got[0].ts_span) == (want.e, want.i, want.ts_span)
+        assert want.signatures is None and len(got[0].signatures) > 0
+
 
 class TestNormFactors:
     def test_oracle(self, tiny_records):
@@ -204,23 +219,23 @@ class TestComparisonCounts:
         bp = bins.groupBy("window").count().toPandas()
         assert total == int((bp["count"] ** 2).sum())
 
-    def test_candidate_count_matches_all_pairs_when_cross(self, tiny_records, spark):
+    def test_candidate_count_matches_all_pairs_when_cross(self, tiny_records):
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900).cache()
-        ents = [r[0] for r in bins.select("entity").distinct().collect()]
-        cand = spark.createDataFrame(
-            [(u, v) for u in ents for v in ents], "u long, v long"
-        )
+        counts = histories.window_bin_counts(bins).toPandas()
+        ents = counts["entity"].unique()
+        pairs = pd.DataFrame([(u, v) for u in ents for v in ents], columns=["u", "v"])
         assert histories.comparison_count_candidates(
-            bins, bins, cand
+            counts, counts, pairs
         ) == histories.comparison_count_all_pairs(bins, bins)
 
-    def test_candidate_subset_fewer(self, tiny_records, spark):
+    def test_candidate_subset_fewer(self, tiny_records):
         df, _ = tiny_records
         bins = histories.build_bins(df, level=12, window_sec=900).cache()
-        ents = sorted(r[0] for r in bins.select("entity").distinct().collect())
-        cand = spark.createDataFrame([(ents[0], ents[1])], "u long, v long")
-        sub = histories.comparison_count_candidates(bins, bins, cand)
+        counts = histories.window_bin_counts(bins).toPandas()
+        ents = sorted(counts["entity"].unique())
+        pairs = pd.DataFrame({"u": [ents[0]], "v": [ents[1]]})
+        sub = histories.comparison_count_candidates(counts, counts, pairs)
         assert 0 < sub < histories.comparison_count_all_pairs(bins, bins)
 
     def test_oracle_window_bin_counts(self, tiny_records):

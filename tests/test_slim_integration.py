@@ -6,8 +6,8 @@ from pyspark.sql import functions as F
 
 from repro.baselines.gm import run_gm
 from repro.baselines.stlink import run_stlink
-from repro.core import histories, metrics
-from repro.core.lsh import LshConfig, lsh_candidates
+from repro.core import histories, lsh, metrics
+from repro.core.lsh import LshConfig
 from repro.core.slim import SlimConfig, run_slim
 
 # coarse signature cells: on a 6-hour instance dominating cells at
@@ -101,11 +101,17 @@ class TestLshCab:
         # the same LSH candidates; they must be one number
         rec_e, rec_i = cab_records
         cfg = CAB_LSH
-        stats = histories.corpus_stats(rec_e, rec_i, level=cfg.level, window_sec=cfg.window_sec)
-        cand, _ = lsh_candidates(rec_e, rec_i, window_sec=cfg.window_sec, cfg=cfg.lsh, ts_span=stats.ts_span)
-        bins_e, bins_i = (histories.build_bins(r, level=cfg.level, window_sec=cfg.window_sec) for r in (rec_e, rec_i))
+        signature = lsh.signatures(level=cfg.lsh.level, window_sec=cfg.window_sec, step=cfg.lsh.step)
+        stats = histories.corpus_stats(
+            rec_e, rec_i, level=cfg.level, window_sec=cfg.window_sec, signature=signature
+        )
+        pairs, _ = lsh.candidate_pairs(stats, window_sec=cfg.window_sec, cfg=cfg.lsh)
+        counts_e, counts_i = (
+            histories.window_bin_counts(histories.build_bins(r, level=cfg.level, window_sec=cfg.window_sec)).toPandas()
+            for r in (rec_e, rec_i)
+        )
         assert cab_lsh.n_comparisons > 0
-        assert cab_lsh.n_comparisons == histories.comparison_count_candidates(bins_e, bins_i, cand)
+        assert cab_lsh.n_comparisons == histories.comparison_count_candidates(counts_e, counts_i, pairs)
 
 
 class TestSmDataset:
@@ -392,15 +398,16 @@ class TestInputContract:
 # Spark jobs of one warm run_slim call on the Cab test instance,
 # measured with 1, 2 and 4 cores. The corpus statistics take 2 (one
 # shuffle to per-entity rows, one collect), and they hold both sides'
-# entity ids. Under LSH both sides' records go through the signature
-# and banding stages as one relation, and one group per (band, bucket)
-# pairs the two sides' entities. Brute force crosses the collected ids
-# and reads no bins for its candidates. The only other action collects
-# the scores: one row per candidate pair, which also counts the
-# candidates. A re-added eager action, a second per-side pipeline, an
-# entity `distinct` over the bins, a shuffle of the bin pairs or a
-# post-kernel join raises the count.
-JOB_BUDGET = {"lsh": 11, "bf": 9}
+# entity ids and, under LSH, their signatures. The driver bands the
+# signatures and pairs the entities of each (band, bucket); brute force
+# crosses the collected ids. Either way the candidates are a
+# one-partition relation that reads no records or bins. The only other
+# action collects the scores: one row per candidate pair, which also
+# counts the candidates. A re-added eager action, a Spark stage over the
+# records for the signatures or the banding, a second per-side
+# pipeline, an entity `distinct` over the bins, a shuffle of the bin
+# pairs or a post-kernel join raises the count.
+JOB_BUDGET = {"lsh": 9, "bf": 9}
 
 
 def _warm_call_jobs(spark_jobs, call) -> int:
